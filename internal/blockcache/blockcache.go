@@ -30,6 +30,13 @@
 // blob is pinned (refcounted) for the duration of the decode, so L2
 // eviction can never free bytes a decode is still reading.
 //
+// GetTiered runs a whole load — disk read, decode, publish — on the
+// caller's goroutine. TryGet and Claim split it for a caller that reads
+// many keys in a fixed order and decodes them elsewhere: TryGet never
+// blocks, so such a loop can defer keys another caller is loading
+// instead of waiting on them while it holds claims of its own, which
+// could deadlock two loops that claim shared keys in opposite orders.
+//
 // Keys carry a store generation: when a store's content is replaced
 // (background compaction swapping a rebuilt store in), the owner
 // allocates a fresh generation for the new store and invalidates the old
@@ -94,6 +101,7 @@ type entry struct {
 	val   any
 	size  int64
 	err   error
+	done  bool // val/err are set; written under mu before ready closes
 
 	refs   int
 	doomed bool
@@ -110,6 +118,7 @@ type l2entry struct {
 	blob  []byte
 	size  int64
 	err   error
+	done  bool
 
 	refs   int
 	doomed bool
@@ -302,20 +311,28 @@ func (c *Cache) Get(key Key, load func() (val any, size int64, err error)) (*Han
 	c.mu.Unlock()
 
 	val, size, err := load()
+	if err == nil {
+		c.misses.Add(1)
+	}
+	return c.finish(e, val, size, err)
+}
 
+// finish publishes a claimed entry's load result, waking its waiters,
+// and returns the loader's pinned handle. A failed load unmaps the
+// entry, so the next Get retries it.
+func (c *Cache) finish(e *entry, val any, size int64, err error) (*Handle, error) {
 	c.mu.Lock()
-	e.val, e.size, e.err = val, size, err
+	e.val, e.size, e.err, e.done = val, size, err, true
 	if err != nil {
 		// Only remove the mapping if it is still ours — an invalidation
 		// may have dropped it and a successor entry may own the key now.
-		if c.entries[key] == e {
-			delete(c.entries, key)
+		if c.entries[e.key] == e {
+			delete(c.entries, e.key)
 		}
 		e.refs--
 	} else {
 		c.resident += size
 		c.pinned += size
-		c.misses.Add(1)
 		c.evictLocked()
 	}
 	c.mu.Unlock()
@@ -374,25 +391,7 @@ func (c *Cache) GetTiered(key Key, loadRaw func() ([]byte, error), decode func(b
 		c.l2unref(le)
 		c.mu.Unlock()
 	}
-
-	c.mu.Lock()
-	e.val, e.size, e.err = val, size, err
-	if err != nil {
-		if c.entries[key] == e {
-			delete(c.entries, key)
-		}
-		e.refs--
-	} else {
-		c.resident += size
-		c.pinned += size
-		c.evictLocked()
-	}
-	c.mu.Unlock()
-	close(e.ready)
-	if err != nil {
-		return nil, err
-	}
-	return &Handle{c: c, e: e}, nil
+	return c.finish(e, val, size, err)
 }
 
 // l2get returns the blob entry for k with one reference held by the
@@ -419,12 +418,21 @@ func (c *Cache) l2get(k L2Key, loadRaw func() ([]byte, error)) (*l2entry, error)
 	c.mu.Unlock()
 
 	blob, err := loadRaw()
+	if err := c.l2finish(le, blob, err); err != nil {
+		return nil, err
+	}
+	return le, nil
+}
 
+// l2finish publishes a claimed blob entry's disk read, waking its
+// waiters. On success the reader keeps its reference; a failed read
+// unmaps the entry and drops the reference.
+func (c *Cache) l2finish(le *l2entry, blob []byte, err error) error {
 	c.mu.Lock()
-	le.blob, le.size, le.err = blob, int64(len(blob)), err
+	le.blob, le.size, le.err, le.done = blob, int64(len(blob)), err, true
 	if err != nil {
-		if c.l2entries[k] == le {
-			delete(c.l2entries, k)
+		if c.l2entries[le.key] == le {
+			delete(c.l2entries, le.key)
 		}
 		le.refs--
 	} else {
@@ -435,10 +443,109 @@ func (c *Cache) l2get(k L2Key, loadRaw func() ([]byte, error)) (*l2entry, error)
 	}
 	c.mu.Unlock()
 	close(le.ready)
-	if err != nil {
+	return err
+}
+
+// Claim is the right to load one key, won by TryGet on a miss. It
+// splits GetTiered's load in two so the steps can run on different
+// goroutines: Read fetches the encoded blob, Publish installs the
+// decoded block. Until Publish, every Get of the key waits on the
+// claim, so its holder must finish it without waiting on any other
+// load — see TryGet.
+type Claim struct {
+	c *Cache
+	e *entry
+	// le is the key's L2 blob: one this claim loads (ownL2) or a
+	// resident one it pins. nil with the tier off, or after a failed
+	// Read released it.
+	le    *l2entry
+	ownL2 bool
+	read  bool
+}
+
+// TryGet is the non-blocking start of GetTiered. It returns a pinned
+// handle when key's block is resident (counted as a hit), or a Claim
+// when the caller now owns the key's load. It returns neither when the
+// block or its blob is being loaded by someone else: the caller should
+// come back with GetTiered once it holds no unfinished claims.
+//
+// The split exists for loops that issue many loads in a fixed order
+// and hand decoding to other goroutines. Such a loop must never wait on
+// another caller's load while holding claims of its own: two loops
+// claiming shared keys in opposite orders would then wait on each other
+// forever. TryGet never waits, so a loop that defers its busy keys
+// until its own claims are published cannot deadlock.
+func (c *Cache) TryGet(key Key) (*Handle, *Claim) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.entries[key]; ok {
+		if !e.done {
+			return nil, nil
+		}
+		c.ref(e)
+		c.hits.Add(1)
+		return &Handle{c: c, e: e}, nil
+	}
+	cl := &Claim{c: c}
+	if c.l2budget != 0 {
+		k := key.l2()
+		if le, ok := c.l2entries[k]; ok {
+			if !le.done {
+				return nil, nil
+			}
+			c.l2ref(le)
+			c.l2hits.Add(1)
+			cl.le = le
+		} else {
+			cl.le = &l2entry{key: k, ready: make(chan struct{}), refs: 1}
+			c.l2entries[k] = cl.le
+			cl.ownL2 = true
+		}
+	}
+	cl.e = &entry{key: key, ready: make(chan struct{}), refs: 1}
+	c.entries[key] = cl.e
+	return nil, cl
+}
+
+// Read returns the claim's encoded blob: the resident L2 copy when
+// there is one, otherwise loadRaw's. A blob loaded here is published to
+// the L2 tier at once, so its waiters never wait on the decode. Read
+// must be called at most once.
+func (cl *Claim) Read(loadRaw func() ([]byte, error)) ([]byte, error) {
+	cl.read = true
+	if cl.le == nil {
+		return loadRaw()
+	}
+	if !cl.ownL2 {
+		return cl.le.blob, nil
+	}
+	blob, err := loadRaw()
+	if err := cl.c.l2finish(cl.le, blob, err); err != nil {
+		cl.le = nil
 		return nil, err
 	}
-	return le, nil
+	return blob, nil
+}
+
+// Publish completes the claim with the decoded block, or with err (the
+// read's or the decode's), waking every waiter, and returns the pinned
+// handle. It releases the claim's hold on the blob. A claim given up
+// before its Read must be published with a non-nil err, which also
+// fails the L2 load the claim owned.
+func (cl *Claim) Publish(val any, size int64, err error) (*Handle, error) {
+	c := cl.c
+	if cl.ownL2 && !cl.read {
+		c.l2finish(cl.le, nil, err)
+		cl.le = nil
+	}
+	if cl.le != nil {
+		c.mu.Lock()
+		c.l2unref(cl.le)
+		c.mu.Unlock()
+	} else if c.l2budget == 0 && err == nil {
+		c.misses.Add(1) // single-tier: a miss is a completed load, as in Get
+	}
+	return c.finish(cl.e, val, size, err)
 }
 
 // ref pins e. Caller holds mu.

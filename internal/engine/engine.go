@@ -175,6 +175,12 @@ type Engine struct {
 	cache    *blockcache.Cache
 	cacheGen uint64
 
+	// decoders, when non-zero, overrides the prefetch decode fan-out's
+	// worker count (Config.Threads); negative decodes each miss on the
+	// goroutine that read it. Tests use it to pit the fan-out against
+	// that sequential fetch with the compute threads held fixed.
+	decoders int
+
 	// overlayProvider, when set, supplies each new run's delta-overlay
 	// snapshot (see SetOverlayProvider).
 	overlayProvider OverlayProvider

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -17,7 +16,9 @@ import (
 // prefetch pipeline. While the row/column phase computes on batch k, one
 // background goroutine pins batch k+1's blocks, so disk reads overlap
 // gathering instead of serializing with it. Cache hits make the fetch a
-// map lookup; misses decode once and publish for every run on the store.
+// map lookup; misses are read in plan order by that goroutine and
+// decoded by a small fan-out of workers, once, for every run on the
+// store.
 
 // cellID names one block a phase needs: sub-shard (i, j) of traversal
 // flag d (1 = transpose), optionally in the source-sorted flat form of
@@ -95,34 +96,51 @@ type fetcher struct {
 	stallNS    int64
 }
 
+// cacheKey returns cell c's block-cache key.
+func (r *fetcher) cacheKey(c cellID) blockcache.Key {
+	return blockcache.Key{Gen: r.e.cacheGen, I: c.i, J: c.j, Transpose: c.d == 1, Flat: c.flat}
+}
+
+// readCell is the disk read of cell c's encoded blob.
+func (r *fetcher) readCell(c cellID) ([]byte, error) {
+	return r.e.store.ReadSubShardRaw(c.i, c.j, c.d == 1)
+}
+
+// decodeCell decodes cell c's blob into the form the cache holds for
+// it, returning the block and its accounted size. Decoding checks the
+// block against the store's index and intervals (see
+// storage.DecodeSubShardAt), so a corrupt blob becomes the run's error
+// instead of an out-of-range index in a gather worker.
+func (r *fetcher) decodeCell(c cellID, blob []byte) (any, int64, error) {
+	ss, err := r.e.store.DecodeSubShardAt(c.i, c.j, c.d == 1, blob)
+	if err != nil {
+		return nil, 0, err
+	}
+	if c.flat {
+		fl := toSrcSorted(ss)
+		return fl, fl.memBytes(), nil
+	}
+	return ss, ss.MemBytes(), nil
+}
+
 // loadBlock pins cell c's decoded block through the shared cache,
-// reporting whether the pin went to disk and, if so, the decoded size.
-// All read paths (traced or not) funnel through here. The cache is
-// tiered: an L1 miss first tries the encoded-blob tier, so the decode
-// closure often runs on bytes already in RAM — those count as hits in
-// the run trace (no disk stall) even though Stats tallies them as
-// L2Hits.
+// blocking on another caller's in-flight load of it, and reports
+// whether the pin went to disk and, if so, the decoded size. The cache
+// is tiered: an L1 miss first tries the encoded-blob tier, so the decode
+// often runs on bytes already in RAM — those count as hits in the run
+// trace (no disk stall) even though Stats tallies them as L2Hits.
 func (r *fetcher) loadBlock(c cellID) (h *blockcache.Handle, missed bool, decoded int64, err error) {
-	key := blockcache.Key{Gen: r.e.cacheGen, I: c.i, J: c.j, Transpose: c.d == 1, Flat: c.flat}
-	h, err = r.e.cache.GetTiered(key,
+	h, err = r.e.cache.GetTiered(r.cacheKey(c),
 		func() ([]byte, error) {
 			// The disk read: single-flighted per sub-shard across both
 			// decoded forms; reaching it is exactly one Stats miss.
 			missed = true
-			return r.e.store.ReadSubShardRaw(c.i, c.j, c.d == 1)
+			return r.readCell(c)
 		},
 		func(blob []byte) (any, int64, error) {
-			ss, err := r.e.store.DecodeSubShardBlob(blob)
-			if err != nil {
-				return nil, 0, fmt.Errorf("decode %s: %w", c.name(), err)
-			}
-			if c.flat {
-				fl := toSrcSorted(ss)
-				decoded = fl.memBytes()
-				return fl, decoded, nil
-			}
-			decoded = ss.MemBytes()
-			return ss, decoded, nil
+			val, size, err := r.decodeCell(c, blob)
+			decoded = size
+			return val, size, err
 		})
 	return
 }
@@ -165,14 +183,23 @@ type fetchTrace struct {
 	hitDurNS int64 // summed duration of the batch's hits
 }
 
-// getBlockBatched is the fetch goroutine's traced load: it samples the
-// trace clock around loadBlock and folds the result into ft, deferring
-// all recording and counter updates to flushFetchTrace.
+// getBlockBatched is the fetch goroutine's traced blocking load: it
+// samples the trace clock around loadBlock and folds the result into ft.
 func (r *fetcher) getBlockBatched(c cellID, ft *fetchTrace) (*blockcache.Handle, error) {
 	began := r.tr.Clock()
 	h, missed, decoded, err := r.loadBlock(c)
-	if err != nil {
-		return h, err
+	if err == nil {
+		r.note(ft, c, began, missed, decoded)
+	}
+	return h, err
+}
+
+// note folds one block acquisition that began at trace clock began into
+// ft, deferring all recording and counter updates to flushFetchTrace.
+// A nil ft (an untraced run) records nothing.
+func (r *fetcher) note(ft *fetchTrace, c cellID, began int64, missed bool, decoded int64) {
+	if ft == nil {
+		return
 	}
 	dur := r.tr.Clock() - began
 	if missed {
@@ -181,14 +208,13 @@ func (r *fetcher) getBlockBatched(c cellID, ft *fetchTrace) (*blockcache.Handle,
 		sp.Bytes = decoded
 		ft.spans = append(ft.spans, sp)
 		ft.misses++
-	} else {
-		if ft.hits == 0 {
-			ft.firstNS = began
-		}
-		ft.hits++
-		ft.hitDurNS += dur
+		return
 	}
-	return h, nil
+	if ft.hits == 0 {
+		ft.firstNS = began
+	}
+	ft.hits++
+	ft.hitDurNS += dur
 }
 
 // flushFetchTrace records a batch's buffered spans — one coalesced hit
@@ -234,51 +260,230 @@ type fetchBatch struct {
 	extra   []*blockcache.Handle
 	err     error
 	done    chan struct{}
+	// issued closes once the fetch goroutine has issued all the batch's
+	// reads (or given up on them); the next batch's reads wait for it.
+	issued chan struct{}
 }
 
 // emptyBatch returns a completed batch with no blocks, for consumers
 // whose batch was not planned (all their loads fall back to synchronous
 // pins via batchBlock).
 func emptyBatch() *fetchBatch {
-	b := &fetchBatch{done: make(chan struct{})}
+	b := &fetchBatch{done: make(chan struct{}), issued: make(chan struct{})}
 	close(b.done)
+	close(b.issued)
 	return b
 }
 
-// startFetch pins the given cells on a background goroutine. Cells are
-// loaded in slice order — ascending j within a row, matching the
-// physical row-major layout of shards.dat, so misses read sequentially.
-func (r *fetcher) startFetch(cells []cellID) *fetchBatch {
+// startFetch pins the given cells on a background goroutine (see
+// fetch). When after is non-nil the goroutine first waits until after
+// has issued its reads, so a pipeline's reads reach the disk in plan
+// order even while two batches are in flight. It waits holding no
+// claims, and a batch issues its reads without waiting on anything, so
+// the chain cannot deadlock.
+func (r *fetcher) startFetch(cells []cellID, after *fetchBatch) *fetchBatch {
 	if len(cells) == 0 {
 		return emptyBatch()
 	}
 	b := &fetchBatch{
 		handles: make(map[cellID]*blockcache.Handle, len(cells)),
 		done:    make(chan struct{}),
+		issued:  make(chan struct{}),
 	}
 	go func() {
 		defer close(b.done)
-		var ft *fetchTrace
-		if r.tr != nil {
-			ft = &fetchTrace{}
-			defer func() { r.flushFetchTrace(ft) }()
+		if after != nil {
+			<-after.issued
 		}
-		for _, c := range cells {
-			var h *blockcache.Handle
-			var err error
-			if ft != nil {
-				h, err = r.getBlockBatched(c, ft)
-			} else {
-				h, _, _, err = r.loadBlock(c)
-			}
-			if err != nil {
-				b.err = err
-				return
-			}
-			b.handles[c] = h
-		}
+		b.err = r.fetch(cells, b.handles, b.issued)
 	}()
 	return b
+}
+
+// fetch pins cells into handles. This goroutine issues the reads, in
+// slice order — ascending j within a row, matching the physical
+// row-major layout of shards.dat, so misses read sequentially — and
+// hands each blob to a decode fan-out, so decoding runs alongside the
+// reads still to come instead of after each one. Hits pin here, and a
+// batch of hits starts no worker.
+//
+// The loop claims each missing cell with TryGet and never waits on a
+// cell another run is loading: such busy cells are deferred until this
+// batch has issued all its reads and published all its decodes, and
+// only then pinned with a blocking load. Waiting while holding claims
+// could deadlock two runs that reach shared cells in opposite orders.
+//
+// After the first error no further read is issued, but every claim is
+// still published and every pin taken lands in handles, so the batch's
+// release returns them all. issued is closed when the read loop ends.
+func (r *fetcher) fetch(cells []cellID, handles map[cellID]*blockcache.Handle, issued chan struct{}) error {
+	var ft *fetchTrace
+	if r.tr != nil {
+		ft = &fetchTrace{}
+		defer r.flushFetchTrace(ft)
+	}
+	var (
+		fan  *decodeFanout
+		busy []cellID
+		err  error
+	)
+	for slot, c := range cells {
+		if fan != nil && fan.failed.Load() {
+			break
+		}
+		began := r.tr.Clock()
+		h, cl := r.e.cache.TryGet(r.cacheKey(c))
+		if h != nil {
+			handles[c] = h
+			r.note(ft, c, began, false, 0)
+			continue
+		}
+		if cl == nil {
+			busy = append(busy, c)
+			continue
+		}
+		job := decodeJob{slot: slot, c: c, cl: cl, began: began}
+		job.blob, err = cl.Read(func() ([]byte, error) {
+			job.missed = true
+			return r.readCell(c)
+		})
+		if err != nil {
+			cl.Publish(nil, 0, err)
+			break
+		}
+		if fan == nil {
+			fan = r.newDecodeFanout(cells)
+		}
+		fan.submit(job, ft)
+	}
+	close(issued)
+	if fan != nil {
+		// A decode error comes from a cell before any read error's.
+		if derr := fan.wait(handles); derr != nil {
+			err = derr
+		}
+	}
+	if err != nil {
+		return err
+	}
+	for _, c := range busy {
+		var h *blockcache.Handle
+		if ft != nil {
+			h, err = r.getBlockBatched(c, ft)
+		} else {
+			h, _, _, err = r.loadBlock(c)
+		}
+		if err != nil {
+			return err
+		}
+		handles[c] = h
+	}
+	return nil
+}
+
+// decodeJob is one claimed cell between its disk read and its decode.
+type decodeJob struct {
+	slot   int // the cell's index in the batch
+	c      cellID
+	cl     *blockcache.Claim
+	blob   []byte
+	missed bool  // the blob came from disk, not the L2 tier
+	began  int64 // trace clock when the acquisition began
+}
+
+// decodeFanout decodes one batch's claimed cells on up to
+// Config.Threads workers, started as jobs arrive. Each worker publishes
+// its cells to the cache as it decodes them and buffers its own trace,
+// so the fetch goroutine only queues jobs. With max = 0 (the engine's
+// negative decoders override) every job runs on the submitting
+// goroutine instead.
+type decodeFanout struct {
+	r       *fetcher
+	cells   []cellID
+	handles []*blockcache.Handle // by slot; written by the decoding goroutine
+	errs    []error
+	jobs    chan decodeJob
+	workers int
+	max     int
+	wg      sync.WaitGroup
+	failed  atomic.Bool
+}
+
+func (r *fetcher) newDecodeFanout(cells []cellID) *decodeFanout {
+	f := &decodeFanout{
+		r:       r,
+		cells:   cells,
+		handles: make([]*blockcache.Handle, len(cells)),
+		errs:    make([]error, len(cells)),
+		max:     r.e.cfg.threads(),
+	}
+	switch {
+	case r.e.decoders < 0:
+		f.max = 0
+		return f
+	case r.e.decoders > 0:
+		f.max = r.e.decoders
+	}
+	f.jobs = make(chan decodeJob, len(cells))
+	return f
+}
+
+// submit queues j, starting another worker while fewer than max run.
+// The queue holds a whole batch, so submit never blocks.
+func (f *decodeFanout) submit(j decodeJob, ft *fetchTrace) {
+	if f.max == 0 {
+		f.run(j, ft)
+		return
+	}
+	if f.workers < f.max {
+		f.workers++
+		f.wg.Add(1)
+		go f.work()
+	}
+	f.jobs <- j
+}
+
+func (f *decodeFanout) work() {
+	defer f.wg.Done()
+	var ft *fetchTrace
+	if f.r.tr != nil {
+		ft = &fetchTrace{}
+		defer f.r.flushFetchTrace(ft)
+	}
+	for j := range f.jobs {
+		f.run(j, ft)
+	}
+}
+
+// run decodes and publishes one cell.
+func (f *decodeFanout) run(j decodeJob, ft *fetchTrace) {
+	val, size, err := f.r.decodeCell(j.c, j.blob)
+	h, err := j.cl.Publish(val, size, err)
+	f.handles[j.slot], f.errs[j.slot] = h, err
+	if err != nil {
+		f.failed.Store(true)
+		return
+	}
+	f.r.note(ft, j.c, j.began, j.missed, size)
+}
+
+// wait lets the workers drain the queue, moves the pins into handles
+// and returns the first error in batch order.
+func (f *decodeFanout) wait(handles map[cellID]*blockcache.Handle) error {
+	if f.jobs != nil {
+		close(f.jobs)
+	}
+	f.wg.Wait()
+	var first error
+	for slot, h := range f.handles {
+		if h != nil {
+			handles[f.cells[slot]] = h
+		}
+		if first == nil {
+			first = f.errs[slot]
+		}
+	}
+	return first
 }
 
 // wait blocks until the fetch goroutine finished and reports its error.
@@ -374,7 +579,7 @@ type pipeline struct {
 func (r *fetcher) newPipeline(plans []fetchPlan) *pipeline {
 	p := &pipeline{r: r, plans: plans}
 	if len(plans) > 0 {
-		p.inflight = r.startFetch(plans[0].cells)
+		p.inflight = r.startFetch(plans[0].cells, nil)
 	}
 	return p
 }
@@ -390,7 +595,7 @@ func (p *pipeline) take(id int) *fetchBatch {
 	b := p.inflight
 	p.next++
 	if p.next < len(p.plans) {
-		p.inflight = p.r.startFetch(p.plans[p.next].cells)
+		p.inflight = p.r.startFetch(p.plans[p.next].cells, b)
 	} else {
 		p.inflight = nil
 	}

@@ -27,6 +27,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // Format constants.
@@ -146,6 +147,14 @@ func (m *Meta) Validate() error {
 	if m.HasTranspose && len(m.TSubShards) != m.P*m.P {
 		return fmt.Errorf("storage: %d transpose entries, want %d", len(m.TSubShards), m.P*m.P)
 	}
+	if err := checkExtents(m.SubShards, false); err != nil {
+		return err
+	}
+	if m.HasTranspose {
+		if err := checkExtents(m.TSubShards, true); err != nil {
+			return err
+		}
+	}
 	var edges int64
 	for _, ss := range m.SubShards {
 		edges += ss.Edges
@@ -154,6 +163,38 @@ func (m *Meta) Validate() error {
 		return fmt.Errorf("storage: sub-shards hold %d edges, meta says %d", edges, m.NumEdges)
 	}
 	return nil
+}
+
+// shardHeaderLen is the size of the magic+version header that opens
+// shards.dat and shards_t.dat; blobs start after it.
+const shardHeaderLen = 8
+
+// checkExtents rejects index entries no writer produces: negative
+// fields, more destinations than edges, and a blob that would start
+// inside the shard file header. Extents past the end of the file are
+// checked by Open, which knows the file sizes.
+func checkExtents(infos []SubShardInfo, transpose bool) error {
+	for k, info := range infos {
+		switch {
+		case info.Offset < 0 || info.Length < 0 || info.Edges < 0 || info.Dsts < 0:
+			return fmt.Errorf("storage: %s: negative field in %+v", indexEntryName(k, transpose), info)
+		case info.Dsts > info.Edges:
+			return fmt.Errorf("storage: %s: %d dsts but %d edges", indexEntryName(k, transpose), info.Dsts, info.Edges)
+		case info.Length > 0 && info.Offset < shardHeaderLen:
+			return fmt.Errorf("storage: %s: blob at offset %d overlaps the %d-byte shard header",
+				indexEntryName(k, transpose), info.Offset, shardHeaderLen)
+		}
+	}
+	return nil
+}
+
+// indexEntryName names index entry k of the forward or transpose
+// sub-shard index for error messages.
+func indexEntryName(k int, transpose bool) string {
+	if transpose {
+		return fmt.Sprintf("t_sub_shards[%d]", k)
+	}
+	return fmt.Sprintf("sub_shards[%d]", k)
 }
 
 // SubShard is one decoded destination-sorted sub-shard.
@@ -261,12 +302,16 @@ func DecodeSubShard(buf []byte, weighted bool) (*SubShard, error) {
 		ss.Dsts[k] = binary.LittleEndian.Uint32(buf[p:])
 		p += 4
 	}
-	var sum uint32
+	// The sum is checked as it grows, so offsets never wrap around and
+	// stay monotone for every blob accepted.
+	var sum uint64
 	for k := 0; k < dstCount; k++ {
-		c := binary.LittleEndian.Uint32(buf[p:])
+		sum += uint64(binary.LittleEndian.Uint32(buf[p:]))
 		p += 4
-		sum += c
-		ss.Offsets[k+1] = sum
+		if sum > uint64(edgeCount) {
+			return nil, fmt.Errorf("storage: sub-shard counts exceed %d edges", edgeCount)
+		}
+		ss.Offsets[k+1] = uint32(sum)
 	}
 	if int(sum) != edgeCount {
 		return nil, fmt.Errorf("storage: sub-shard counts sum to %d, want %d edges", sum, edgeCount)
@@ -346,10 +391,20 @@ func EncodeSubShardV2(ss *SubShard, weighted bool) []byte {
 }
 
 // DecodeSubShardV2 parses a blob produced by EncodeSubShardV2. It
-// validates every structural invariant (monotone destinations, monotone
-// sources, counts summing to the edge count, the varint region ending
+// validates every structural invariant (minimal varints, strictly
+// ascending destinations, non-zero counts summing to the edge count,
+// non-descending sources that fit uint32, the varint region ending
 // exactly at the weight section), so arbitrary bytes produce an error,
 // never a panic — the contract the fuzz target exercises.
+//
+// It runs on every cold read of a v2 store, so it is written for speed:
+// the one- and two-byte varint cases (over 90% of the values in an
+// interval-partitioned store) are decoded inline and branch-free in each
+// loop, with uvarint32Slow handling longer values and the blob's last
+// byte; the three index arrays share one allocation; and sources decode
+// in one flat loop over all edges, summed in a uint64 whose overflow is
+// checked once per blob — a destination's running sum only grows, so
+// that accepts exactly the blobs a per-edge check would.
 func DecodeSubShardV2(buf []byte, weighted bool) (*SubShard, error) {
 	dc, p := uvarint32(buf, 0)
 	if p < 0 {
@@ -371,99 +426,116 @@ func DecodeSubShardV2(buf []byte, weighted bool) (*SubShard, error) {
 		return nil, fmt.Errorf("storage: v2 blob: %d bytes cannot hold %d dsts / %d edges",
 			len(buf), dstCount, edgeCount)
 	}
+	// One allocation for the three index arrays; the full-slice caps keep
+	// an append to one from writing into the next.
+	arr := make([]uint32, 2*dstCount+1+edgeCount)
 	ss := &SubShard{
-		Dsts:    make([]uint32, dstCount),
-		Offsets: make([]uint32, dstCount+1),
-		Srcs:    make([]uint32, edgeCount),
+		Dsts:    arr[:dstCount:dstCount],
+		Offsets: arr[dstCount : 2*dstCount+1 : 2*dstCount+1],
+		Srcs:    arr[2*dstCount+1:],
 	}
 	v := buf[:end] // varint region; p never legally reaches past it
-	var d uint32
-	for k := 0; k < dstCount; k++ {
-		gap, np := uvarint32(v, p)
-		if np < 0 {
+
+	// Each loop below decodes a varint x at p with the same inline fast
+	// path. It reads two bytes c, c2 and lets m = c>>7 pick between a
+	// one-byte value (c) and a two-byte one (c&0x7f | c2<<7) without a
+	// branch, because one- and two-byte values interleave unpredictably.
+	// Its one branch — rarely taken, so well predicted — sends a
+	// two-byte candidate whose c2 is not in [1, 0x7f] to uvarint32Slow:
+	// c2 ≥ 0x80 starts a longer value and c2 = 0 is zero padding, which
+	// uvarint32Slow rejects. A value starting at the region's last byte
+	// takes uvarint32Slow too.
+	dsts := ss.Dsts
+	var d uint64
+	for k := range dsts {
+		var x uint32
+		if q := p + 1; q < end {
+			c, c2 := v[p], v[q]
+			m := uint32(c >> 7)
+			if m*uint32((uint(c2-1)+1)>>7) == 0 {
+				x = uint32(c&0x7f) | uint32(c2)<<7&-m
+				p = q + int(m)
+			} else if x, p = uvarint32Slow(v, p); p < 0 {
+				return nil, fmt.Errorf("storage: v2 blob: truncated dst gap %d", k)
+			}
+		} else if x, p = uvarint32Slow(v, p); p < 0 {
 			return nil, fmt.Errorf("storage: v2 blob: truncated dst gap %d", k)
 		}
-		p = np
-		if k == 0 {
-			d = gap
-		} else {
-			nd := uint64(d) + uint64(gap)
-			if gap == 0 || nd > 1<<32-1 {
-				return nil, fmt.Errorf("storage: v2 blob: dst %d not ascending", k)
-			}
-			d = uint32(nd)
+		if k > 0 && x == 0 {
+			return nil, fmt.Errorf("storage: v2 blob: dst %d not ascending", k)
 		}
-		ss.Dsts[k] = d
+		d += uint64(x)
+		if d > math.MaxUint32 {
+			return nil, fmt.Errorf("storage: v2 blob: dst %d not ascending", k)
+		}
+		dsts[k] = uint32(d)
 	}
+
+	offs := ss.Offsets
 	var sum uint64
 	for k := 0; k < dstCount; k++ {
-		c, np := uvarint32(v, p)
-		if np < 0 {
+		var x uint32
+		if q := p + 1; q < end {
+			c, c2 := v[p], v[q]
+			m := uint32(c >> 7)
+			if m*uint32((uint(c2-1)+1)>>7) == 0 {
+				x = uint32(c&0x7f) | uint32(c2)<<7&-m
+				p = q + int(m)
+			} else if x, p = uvarint32Slow(v, p); p < 0 {
+				return nil, fmt.Errorf("storage: v2 blob: truncated count %d", k)
+			}
+		} else if x, p = uvarint32Slow(v, p); p < 0 {
 			return nil, fmt.Errorf("storage: v2 blob: truncated count %d", k)
 		}
-		p = np
-		if c == 0 {
+		if x == 0 {
 			// A destination is listed only if it has sources; rejecting
 			// zero keeps the encoding bijective and the source loop's
 			// first-raw-then-gaps shape unconditional.
 			return nil, fmt.Errorf("storage: v2 blob: dst %d has zero sources", k)
 		}
-		sum += uint64(c)
+		sum += uint64(x)
 		if sum > uint64(edgeCount) {
 			return nil, fmt.Errorf("storage: v2 blob: counts exceed %d edges", edgeCount)
 		}
-		ss.Offsets[k+1] = uint32(sum)
+		offs[k+1] = uint32(sum)
 	}
 	if sum != uint64(edgeCount) {
 		return nil, fmt.Errorf("storage: v2 blob: counts sum to %d, want %d edges", sum, edgeCount)
 	}
-	srcs, t := ss.Srcs, 0
-	for k := 0; k < dstCount; k++ {
-		n := int(ss.Offsets[k+1]) - t
-		s, np := uvarint32(v, p)
-		if np < 0 {
-			return nil, fmt.Errorf("storage: v2 blob: truncated sources of dst %d", k)
+
+	// Sources: per destination a raw first value — a gap from 0 — then
+	// gaps (0 = a parallel edge). Runs are short in a skewed graph, so a
+	// loop per destination would mispredict its exit at almost every
+	// run; instead one flat loop walks all edges, and the running sum s
+	// restarts from 0 at each run's first edge, found without a branch:
+	// srcs (zero from make) holds 1 at every run start until the loop
+	// overwrites it. A run's sum only grows, so OR-ing every sum into
+	// ovf catches any that left uint32 with one check at the end.
+	srcs := ss.Srcs
+	for _, o := range offs[:dstCount] {
+		srcs[o] = 1
+	}
+	var s, ovf uint64
+	for t := range srcs {
+		var x uint32
+		if q := p + 1; q < end {
+			c, c2 := v[p], v[q]
+			m := uint32(c >> 7)
+			if m*uint32((uint(c2-1)+1)>>7) == 0 {
+				x = uint32(c&0x7f) | uint32(c2)<<7&-m
+				p = q + int(m)
+			} else if x, p = uvarint32Slow(v, p); p < 0 {
+				return nil, fmt.Errorf("storage: v2 blob: truncated source %d", t)
+			}
+		} else if x, p = uvarint32Slow(v, p); p < 0 {
+			return nil, fmt.Errorf("storage: v2 blob: truncated source %d", t)
 		}
-		p = np
-		// Short-run fast paths: the skewed graphs DSSS targets give most
-		// destinations 1–3 sources per sub-shard cell, so the common runs
-		// decode straight-line with no inner loop.
-		switch n {
-		case 1:
-			srcs[t] = s
-			t++
-			continue
-		case 2:
-			srcs[t] = s
-			g, np := uvarint32(v, p)
-			if np < 0 {
-				return nil, fmt.Errorf("storage: v2 blob: truncated sources of dst %d", k)
-			}
-			p = np
-			s2 := uint64(s) + uint64(g)
-			if s2 > 1<<32-1 {
-				return nil, fmt.Errorf("storage: v2 blob: source overflow at dst %d", k)
-			}
-			srcs[t+1] = uint32(s2)
-			t += 2
-			continue
-		}
-		srcs[t] = s
-		t++
-		for i := 1; i < n; i++ {
-			g, np := uvarint32(v, p)
-			if np < 0 {
-				return nil, fmt.Errorf("storage: v2 blob: truncated sources of dst %d", k)
-			}
-			p = np
-			ns := uint64(s) + uint64(g)
-			if ns > 1<<32-1 {
-				return nil, fmt.Errorf("storage: v2 blob: source overflow at dst %d", k)
-			}
-			s = uint32(ns)
-			srcs[t] = s
-			t++
-		}
+		s = s&(uint64(srcs[t])-1) + uint64(x)
+		ovf |= s
+		srcs[t] = uint32(s)
+	}
+	if ovf > math.MaxUint32 {
+		return nil, fmt.Errorf("storage: v2 blob: source overflows uint32")
 	}
 	if p != end {
 		return nil, fmt.Errorf("storage: v2 blob: %d trailing bytes", end-p)

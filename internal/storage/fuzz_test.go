@@ -2,6 +2,8 @@ package storage
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"testing"
 )
 
@@ -59,19 +61,75 @@ func fuzzSeedBlobs(weighted bool) [][]byte {
 	return out
 }
 
-// FuzzDecodeSubShardV2 throws arbitrary bytes at the v2 decoder: it must
-// never panic, and whatever it accepts must re-encode to the identical
-// blob (a canonical-order sub-shard has exactly one v2 encoding).
+// fuzzEdgeCaseBlobs are hand-built v2 blobs for the decoder's fast-path
+// boundaries: multi-byte gaps, padding the fast path must not accept,
+// and a source run that leaves uint32 only at its last gap.
+func fuzzEdgeCaseBlobs(weighted bool) [][]byte {
+	wide := &SubShard{
+		// Destination gaps of 1, 2 and 3 bytes; source gaps likewise.
+		Dsts:    []uint32{5, 5 + 300, 5 + 300 + 70000},
+		Offsets: []uint32{0, 3, 4, 6},
+		Srcs:    []uint32{1, 1 + 200, 1 + 200 + 20000, 0x7f, 16383, 16383 + 2097151},
+	}
+	if weighted {
+		wide.Weights = []float32{1, 2, 3, 4, 5, 6}
+	}
+	blobs := [][]byte{EncodeSubShardV2(wide, weighted)}
+	weights := func(n int) []byte {
+		if !weighted {
+			return nil
+		}
+		return make([]byte, 4*n)
+	}
+	// One dst (gap 7), one source written as 0x80 0x00 — a non-minimal
+	// two-byte zero.
+	blobs = append(blobs, append([]byte{1, 1, 7, 1, 0x80, 0x00}, weights(1)...))
+	// The same with the padded value as the destination gap.
+	blobs = append(blobs, append([]byte{1, 1, 0x83, 0x00, 1, 9}, weights(1)...))
+	// One dst with two sources: 0xffffffff then a gap of 1 — the sum
+	// overflows uint32 only after the run's last edge.
+	blobs = append(blobs, append([]byte{1, 2, 0, 2, 0xff, 0xff, 0xff, 0xff, 0x0f, 1}, weights(2)...))
+	return blobs
+}
+
+// FuzzDecodeSubShardV2 throws arbitrary bytes at the v2 decoder. It
+// must never panic; it must agree with decodeSubShardV2Ref on whether
+// a blob is valid and on every decoded array; and whatever it accepts
+// must re-encode to the identical blob (a canonical-order sub-shard has
+// exactly one v2 encoding).
 func FuzzDecodeSubShardV2(f *testing.F) {
 	for _, weighted := range []bool{false, true} {
 		for _, blob := range fuzzSeedBlobs(weighted) {
 			f.Add(blob, weighted)
 		}
+		for _, blob := range fuzzEdgeCaseBlobs(weighted) {
+			f.Add(blob, weighted)
+		}
 	}
 	f.Fuzz(func(t *testing.T, blob []byte, weighted bool) {
 		ss, err := DecodeSubShardV2(blob, weighted)
+		ref, refErr := decodeSubShardV2Ref(blob, weighted)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("decoder and reference disagree: err=%v, reference err=%v", err, refErr)
+		}
 		if err != nil {
 			return
+		}
+		for _, arr := range []struct {
+			name      string
+			got, want []uint32
+		}{{"dsts", ss.Dsts, ref.Dsts}, {"offsets", ss.Offsets, ref.Offsets}, {"srcs", ss.Srcs, ref.Srcs}} {
+			if !slices.Equal(arr.got, arr.want) {
+				t.Fatalf("%s differ from the reference: %v vs %v", arr.name, arr.got, arr.want)
+			}
+		}
+		if len(ss.Weights) != len(ref.Weights) || (ss.Weights == nil) != (ref.Weights == nil) {
+			t.Fatalf("weights: %d vs reference %d", len(ss.Weights), len(ref.Weights))
+		}
+		for k := range ss.Weights {
+			if math.Float32bits(ss.Weights[k]) != math.Float32bits(ref.Weights[k]) {
+				t.Fatalf("weight %d differs from the reference", k)
+			}
 		}
 		// Structural invariants the decoder promises.
 		if len(ss.Offsets) != len(ss.Dsts)+1 || int(ss.Offsets[len(ss.Dsts)]) != len(ss.Srcs) {
@@ -94,6 +152,47 @@ func FuzzDecodeSubShardV2(f *testing.F) {
 		if !bytes.Equal(re, blob) {
 			t.Fatalf("accepted blob is not canonical: decode/encode changed %d -> %d bytes",
 				len(blob), len(re))
+		}
+	})
+}
+
+// FuzzDecodeSubShardV1 throws arbitrary bytes at the fixed-width v1
+// decoder: it must never panic, whatever it accepts must have monotone
+// offsets that end at the edge count (the engine indexes sources
+// through them), and it must re-encode to the identical blob.
+func FuzzDecodeSubShardV1(f *testing.F) {
+	for _, weighted := range []bool{false, true} {
+		for _, blob := range fuzzSeedBlobs(weighted) {
+			ss, err := DecodeSubShardV2(blob, weighted)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(EncodeSubShard(ss, weighted), weighted)
+		}
+	}
+	// Counts 0xffffffff and 2 wrap to a sum of 1 in uint32 arithmetic.
+	f.Add([]byte{2, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0,
+		0xff, 0xff, 0xff, 0xff, 2, 0, 0, 0, 9, 0, 0, 0}, false)
+	f.Fuzz(func(t *testing.T, blob []byte, weighted bool) {
+		ss, err := DecodeSubShard(blob, weighted)
+		if err != nil {
+			return
+		}
+		if len(ss.Offsets) != len(ss.Dsts)+1 || int(ss.Offsets[len(ss.Dsts)]) != len(ss.Srcs) {
+			t.Fatalf("inconsistent shape: %d dsts, %d offsets, %d srcs",
+				len(ss.Dsts), len(ss.Offsets), len(ss.Srcs))
+		}
+		for k := range ss.Dsts {
+			if ss.Offsets[k+1] < ss.Offsets[k] {
+				t.Fatalf("offsets descend at dst %d", k)
+			}
+		}
+		if weighted != (ss.Weights != nil) {
+			t.Fatalf("weighted=%v but weights %v", weighted, ss.Weights != nil)
+		}
+		re := EncodeSubShard(ss, weighted)
+		if !bytes.Equal(re, blob) {
+			t.Fatalf("accepted blob does not re-encode identically: %d -> %d bytes", len(blob), len(re))
 		}
 	})
 }

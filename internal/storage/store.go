@@ -44,7 +44,7 @@ func Open(disk *diskio.Disk, dir string) (*Store, error) {
 	if s.shards, err = disk.Open(dir + "/" + ShardsFile); err != nil {
 		return nil, err
 	}
-	if err := checkShardHeader(s.shards, disk.Path(dir+"/"+ShardsFile), meta.Version); err != nil {
+	if err := checkShardFile(s.shards, disk.Path(dir+"/"+ShardsFile), meta.Version, meta.SubShards, false); err != nil {
 		s.shards.Close()
 		return nil, err
 	}
@@ -53,7 +53,7 @@ func Open(disk *diskio.Disk, dir string) (*Store, error) {
 			s.shards.Close()
 			return nil, err
 		}
-		if err := checkShardHeader(s.tshards, disk.Path(dir+"/"+TShardsFile), meta.Version); err != nil {
+		if err := checkShardFile(s.tshards, disk.Path(dir+"/"+TShardsFile), meta.Version, meta.TSubShards, true); err != nil {
 			s.Close()
 			return nil, err
 		}
@@ -61,11 +61,13 @@ func Open(disk *diskio.Disk, dir string) (*Store, error) {
 	return s, nil
 }
 
-// checkShardHeader verifies a shard file's magic and that its embedded
+// checkShardFile verifies a shard file's magic, that its embedded
 // format version matches the meta document's (the two are written
-// together; disagreement means a corrupt or hand-mixed store).
-func checkShardHeader(f *diskio.File, path string, version int) error {
-	var hdr [8]byte
+// together; disagreement means a corrupt or hand-mixed store), and that
+// every blob its index locates lies inside the file, so a corrupt
+// meta.json fails here instead of at the first read.
+func checkShardFile(f *diskio.File, path string, version int, infos []SubShardInfo, transpose bool) error {
+	var hdr [shardHeaderLen]byte
 	if _, err := f.ReadAt(hdr[:], 0); err != nil {
 		return fmt.Errorf("storage: read shard header: %w", err)
 	}
@@ -76,6 +78,16 @@ func checkShardHeader(f *diskio.File, path string, version int) error {
 		return fmt.Errorf("storage: %s: shard file format version %d, meta.json says %d"+
 			" — store is corrupt or mixed; rebuild it with `nxpre -format %d`",
 			path, v, version, version)
+	}
+	size, err := f.Size()
+	if err != nil {
+		return err
+	}
+	for k, info := range infos {
+		if info.Length > 0 && info.Offset > size-info.Length {
+			return fmt.Errorf("storage: %s: %s extent [%d, %d) runs past the file's end at %d",
+				path, indexEntryName(k, transpose), info.Offset, info.Offset+info.Length, size)
+		}
 	}
 	return nil
 }
@@ -115,11 +127,7 @@ func (s *Store) ReadSubShard(i, j int, transpose bool) (*SubShard, error) {
 	if err != nil {
 		return nil, err
 	}
-	ss, err := s.DecodeSubShardBlob(blob)
-	if err != nil {
-		return nil, fmt.Errorf("storage: SS[%d][%d]: %w", i, j, err)
-	}
-	return ss, nil
+	return s.DecodeSubShardAt(i, j, transpose, blob)
 }
 
 // ReadSubShardRaw reads SS[i][j]'s encoded blob without decoding it —
@@ -157,6 +165,66 @@ func (s *Store) DecodeSubShardBlob(blob []byte) (*SubShard, error) {
 		return &SubShard{Offsets: []uint32{0}}, nil
 	}
 	return DecodeSubShardAs(blob, s.meta.Weighted, s.meta.Version)
+}
+
+// DecodeSubShardAt decodes blob as SS[i][j] of the forward or transpose
+// index and checks it against what the store says that cell holds: the
+// edge and destination counts of its index entry, destinations in
+// interval j and sources in interval i. A decoded blob is internally
+// consistent but could still belong to another cell — or have been
+// corrupted into a valid one — and ids outside their intervals would
+// index past the attribute arrays the engine gathers through, so every
+// read path that feeds the engine decodes here.
+//
+// v2 decoding guarantees ascending destinations and sources within a
+// destination, so only each run's endpoints need checking; v1 blobs
+// carry no such guarantee and every id is checked.
+func (s *Store) DecodeSubShardAt(i, j int, transpose bool, blob []byte) (*SubShard, error) {
+	cell := func(format string, args ...any) error {
+		return fmt.Errorf("storage: SS[%d][%d] (transpose=%v): %s", i, j, transpose, fmt.Sprintf(format, args...))
+	}
+	P := s.meta.P
+	if i < 0 || i >= P || j < 0 || j >= P {
+		return nil, cell("out of range P=%d", P)
+	}
+	infos := s.meta.SubShards
+	if transpose {
+		infos = s.meta.TSubShards
+	}
+	if len(infos) != P*P {
+		return nil, cell("store has no such index")
+	}
+	ss, err := s.DecodeSubShardBlob(blob)
+	if err != nil {
+		return nil, cell("%v", err)
+	}
+	info := infos[i*P+j]
+	if int64(ss.NumEdges()) != info.Edges || int64(ss.NumDsts()) != info.Dsts {
+		return nil, cell("decoded %d edges / %d dsts, index says %d / %d",
+			ss.NumEdges(), ss.NumDsts(), info.Edges, info.Dsts)
+	}
+	ilo, ihi := s.meta.IntervalRange(i)
+	jlo, jhi := s.meta.IntervalRange(j)
+	for _, d := range ss.Dsts {
+		if d < jlo || d >= jhi {
+			return nil, cell("dst %d outside interval [%d,%d)", d, jlo, jhi)
+		}
+	}
+	if s.meta.Version == FormatV1 {
+		for _, src := range ss.Srcs {
+			if src < ilo || src >= ihi {
+				return nil, cell("src %d outside interval [%d,%d)", src, ilo, ihi)
+			}
+		}
+		return ss, nil
+	}
+	for k := range ss.Dsts {
+		lo, hi := ss.Srcs[ss.Offsets[k]], ss.Srcs[ss.Offsets[k+1]-1]
+		if lo < ilo || hi >= ihi {
+			return nil, cell("sources [%d,%d] of dst %d outside interval [%d,%d)", lo, hi, ss.Dsts[k], ilo, ihi)
+		}
+	}
+	return ss, nil
 }
 
 // Degrees reads the degree file: out-degrees then in-degrees, each n
