@@ -8,8 +8,8 @@ import (
 )
 
 // This file provides the fused multi-query entry points: each builds one
-// program per query root, runs them as lanes of a single engine
-// BatchRun, and returns per-query results in submission order. A nil
+// program per query root, runs them as lanes of a single fused engine
+// Run, and returns per-query results in submission order. A nil
 // slot in the returned slice is a lane cancelled via the BatchControl
 // handle; every other slot is bit-identical to the corresponding
 // single-query run.
@@ -53,7 +53,7 @@ func runBatch(ctx context.Context, e *engine.Engine, ps []engine.Program, iters 
 			break
 		}
 	}
-	return run.Finish()
+	return run.FinishLanes()
 }
 
 // PersonalizedPageRankBatch runs iters iterations of personalized

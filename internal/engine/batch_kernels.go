@@ -6,8 +6,8 @@ import (
 	"nxgraph/internal/storage"
 )
 
-// This file holds the fused multi-lane gather and apply kernels of
-// BatchRun. The gather kernels keep the scalar gatherCSR's shape — a
+// This file holds the multi-lane gather and apply kernels of fused runs
+// (a Run with more than one lane). The gather kernels keep the scalar gatherCSR's shape — a
 // per-destination local fold over the destination's in-edges, then one
 // fold of the local into the accumulator — replicated per lane, so every
 // lane's floating-point operations happen in exactly the order a scalar
@@ -21,11 +21,11 @@ import (
 // to one or two FP operations on consecutive memory.
 
 // gatherCell folds destinations [k0, k1) of sub-shard ss into the SoA
-// accumulator b.next for the given lanes. del is the overlay tombstone
+// accumulator r.next for the given lanes. del is the overlay tombstone
 // predicate for base cells (nil when the cell has no pending removals);
 // scaled is the direction's hoisted rank-sum Gather array, non-nil
-// exactly when the batch hint is KernelRankSum.
-func (b *BatchRun) gatherCell(ss *storage.SubShard, deg []uint32, scaled []float64, del func(src, dst uint32) bool, lanes []int, k0, k1 int) {
+// exactly when the lanes' hint is KernelRankSum.
+func (r *Run) gatherCell(ss *storage.SubShard, deg []uint32, scaled []float64, del func(src, dst uint32) bool, lanes []int, k0, k1 int) {
 	// contig: lanes is a run of consecutive lane ids, letting the
 	// specialized kernels slice the SoA arrays directly instead of
 	// indirecting through the lane list. This is the common shape for
@@ -38,23 +38,23 @@ func (b *BatchRun) gatherCell(ss *storage.SubShard, deg []uint32, scaled []float
 		}
 	}
 	local := make([]float64, len(lanes))
-	switch b.hint {
+	switch r.hint {
 	case KernelRankSum:
-		b.gatherRankSum(ss, scaled, del, lanes, contig, local, k0, k1)
+		r.gatherRankSum(ss, scaled, del, lanes, contig, local, k0, k1)
 	case KernelHopMin:
-		b.gatherMin(ss, deg, del, lanes, contig, local, k0, k1, false)
+		r.gatherMin(ss, deg, del, lanes, contig, local, k0, k1, false)
 	case KernelDistMin:
-		b.gatherMin(ss, deg, del, lanes, contig, local, k0, k1, true)
+		r.gatherMin(ss, deg, del, lanes, contig, local, k0, k1, true)
 	default:
-		b.gatherGeneric(ss, deg, del, lanes, local, k0, k1)
+		r.gatherGeneric(ss, deg, del, lanes, local, k0, k1)
 	}
 }
 
 // gatherGeneric is the hint-free fused kernel: per-edge Program
 // dispatch, one Gather+Sum pair per lane.
-func (b *BatchRun) gatherGeneric(ss *storage.SubShard, deg []uint32, del func(src, dst uint32) bool, lanes []int, local []float64, k0, k1 int) {
-	L := b.lcount
-	zero := b.ps[lanes[0]].Zero()
+func (r *Run) gatherGeneric(ss *storage.SubShard, deg []uint32, del func(src, dst uint32) bool, lanes []int, local []float64, k0, k1 int) {
+	L := r.L
+	zero := r.ps[lanes[0]].Zero()
 	for k := k0; k < k1; k++ {
 		d := ss.Dsts[k]
 		for x := range local {
@@ -72,27 +72,27 @@ func (b *BatchRun) gatherGeneric(ss *storage.SubShard, deg []uint32, del func(sr
 			}
 			sb := int(s) * L
 			for x, l := range lanes {
-				p := b.ps[l]
-				local[x] = p.Sum(local[x], p.Gather(b.curr[sb+l], deg[s], w))
+				p := r.ps[l]
+				local[x] = p.Sum(local[x], p.Gather(r.curr[sb+l], deg[s], w))
 			}
 		}
 		db := int(d) * L
 		for x, l := range lanes {
-			b.next[db+l] = b.ps[l].Sum(b.next[db+l], local[x])
+			r.next[db+l] = r.ps[l].Sum(r.next[db+l], local[x])
 		}
 	}
 }
 
 // gatherRankSum is the KernelRankSum specialization:
 // Gather = attr/deg, Sum = +. The divisions by float64(deg[s]) were
-// hoisted into the per-iteration scaled array (see computeScaled) with
+// hoisted into the per-iteration scaled array (see refreshScaled) with
 // exactly the operands a scalar Gather would use, so the edge loop here
 // is pure left-to-right additions and stays bit-identical to the scalar
 // pprProg/pageRankProg operations.
-func (b *BatchRun) gatherRankSum(ss *storage.SubShard, scaled []float64, del func(src, dst uint32) bool, lanes []int, contig bool, local []float64, k0, k1 int) {
-	L := b.lcount
+func (r *Run) gatherRankSum(ss *storage.SubShard, scaled []float64, del func(src, dst uint32) bool, lanes []int, contig bool, local []float64, k0, k1 int) {
+	L := r.L
 	if contig && del == nil {
-		b.gatherRankSumDense(ss, scaled, local, k0, k1, lanes[0])
+		r.gatherRankSumDense(ss, scaled, local, k0, k1, lanes[0])
 		return
 	}
 	off, w := 0, len(local)
@@ -121,10 +121,10 @@ func (b *BatchRun) gatherRankSum(ss *storage.SubShard, scaled []float64, del fun
 		}
 		db := int(d) * L
 		if contig {
-			addLanes(b.next[db+off:db+off+w], local)
+			addLanes(r.next[db+off:db+off+w], local)
 		} else {
 			for x, l := range lanes {
-				b.next[db+l] += local[x]
+				r.next[db+l] += local[x]
 			}
 		}
 	}
@@ -144,8 +144,8 @@ const denseFoldMax = 32
 // in a register. Per lane the additions are the scalar fold's, in the
 // scalar fold's order — ranks are never -0, so 0+g == g and
 // next+(0+g) == next+g — keeping results bit-identical.
-func (b *BatchRun) gatherRankSumDense(ss *storage.SubShard, scaled, local []float64, k0, k1, off int) {
-	L := b.lcount
+func (r *Run) gatherRankSumDense(ss *storage.SubShard, scaled, local []float64, k0, k1, off int) {
+	L := r.L
 	w := len(local)
 	var offBuf [denseFoldMax]int // per-destination source row offsets
 	for k := k0; k < k1; k++ {
@@ -156,12 +156,12 @@ func (b *BatchRun) gatherRankSumDense(ss *storage.SubShard, scaled, local []floa
 		db := int(ss.Dsts[k])*L + off
 		sb := int(ss.Srcs[lo])*L + off
 		if hi == lo+1 {
-			addLanes(b.next[db:db+w], scaled[sb:sb+w])
+			addLanes(r.next[db:db+w], scaled[sb:sb+w])
 			continue
 		}
 		if e := int(hi - lo); e <= denseFoldMax {
 			s0 := scaled[sb : sb+w]
-			ns := b.next[db : db+w]
+			ns := r.next[db : db+w]
 			switch e {
 			case 2: // the offs loop's per-lane overhead rivals one add
 				o1 := int(ss.Srcs[lo+1])*L + off
@@ -195,7 +195,7 @@ func (b *BatchRun) gatherRankSumDense(ss *storage.SubShard, scaled, local []floa
 			sb := int(ss.Srcs[t])*L + off
 			addLanes(local, scaled[sb:sb+w])
 		}
-		addLanes(b.next[db:db+w], local)
+		addLanes(r.next[db:db+w], local)
 	}
 }
 
@@ -224,9 +224,9 @@ func addLanes(dst, src []float64) {
 // Gather = attr+1 (hops) or attr+float64(w) (distances), Sum = math.Min.
 // Zero is +Inf for both programs, so local starts at the lanes' shared
 // Zero value.
-func (b *BatchRun) gatherMin(ss *storage.SubShard, deg []uint32, del func(src, dst uint32) bool, lanes []int, contig bool, local []float64, k0, k1 int, weighted bool) {
-	L := b.lcount
-	zero := b.ps[lanes[0]].Zero()
+func (r *Run) gatherMin(ss *storage.SubShard, deg []uint32, del func(src, dst uint32) bool, lanes []int, contig bool, local []float64, k0, k1 int, weighted bool) {
+	L := r.L
+	zero := r.ps[lanes[0]].Zero()
 	off, w := lanes[0], len(local)
 	for k := k0; k < k1; k++ {
 		d := ss.Dsts[k]
@@ -249,38 +249,39 @@ func (b *BatchRun) gatherMin(ss *storage.SubShard, deg []uint32, del func(src, d
 			}
 			sb := int(s) * L
 			if contig {
-				cs := b.curr[sb+off : sb+off+w]
+				cs := r.curr[sb+off : sb+off+w]
 				for x := range local {
 					local[x] = math.Min(local[x], cs[x]+step)
 				}
 			} else {
 				for x, l := range lanes {
-					local[x] = math.Min(local[x], b.curr[sb+l]+step)
+					local[x] = math.Min(local[x], r.curr[sb+l]+step)
 				}
 			}
 		}
 		db := int(d) * L
 		if contig {
-			ns := b.next[db+off : db+off+w]
+			ns := r.next[db+off : db+off+w]
 			for x := range local {
 				ns[x] = math.Min(ns[x], local[x])
 			}
 		} else {
 			for x, l := range lanes {
-				b.next[db+l] = math.Min(b.next[db+l], local[x])
+				r.next[db+l] = math.Min(r.next[db+l], local[x])
 			}
 		}
 	}
 }
 
-// applyLane applies lane l's accumulated contributions for vertices
-// [v0, v1): next[v*L+l] = Apply(v, curr[v*L+l], next[v*L+l]), reporting
-// whether any vertex changed — the SoA counterpart of applyRange with
-// out aliasing acc.
-func applyLane(p Program, curr, next []float64, L, l int, v0, v1 uint32) bool {
+// applyLane applies one lane's accumulated contributions for vertices
+// [v0, v1): next[i] = Apply(v, curr[i], next[i]) at i = v*L+off,
+// reporting whether any vertex changed — the lane-minor counterpart of
+// applyRange with out aliasing acc (off is the lane, or -lo for a
+// single-lane window based at lo).
+func applyLane(p Program, curr, next []float64, L, off int, v0, v1 uint32) bool {
 	changed := false
 	for v := v0; v < v1; v++ {
-		idx := int(v)*L + l
+		idx := int(v)*L + off
 		nv, ch := p.Apply(v, curr[idx], next[idx])
 		next[idx] = nv
 		if ch {
@@ -294,6 +295,10 @@ func applyLane(p Program, curr, next []float64, L, l int, v0, v1 uint32) bool {
 // [v0, v1) — the untouched-interval (and finished-lane) path of the
 // apply phase.
 func copyLane(curr, next []float64, L, l int, v0, v1 uint32) {
+	if L == 1 {
+		copy(next[v0:v1], curr[v0:v1])
+		return
+	}
 	for v := v0; v < v1; v++ {
 		idx := int(v)*L + l
 		next[idx] = curr[idx]

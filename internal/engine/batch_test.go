@@ -168,7 +168,7 @@ func TestFusedGenericKernelEquivalence(t *testing.T) {
 			break
 		}
 	}
-	fused, err := run.Finish()
+	fused, err := run.FinishLanes()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestFusedLaneCancellation(t *testing.T) {
 			break
 		}
 	}
-	fused, err := run.Finish()
+	fused, err := run.FinishLanes()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,31 +279,126 @@ func TestFusedLaneCancellation(t *testing.T) {
 }
 
 // TestFusedWidthOne: batch width 1 must behave exactly like the scalar
-// path for every algorithm family (the bit-identical-at-width-1 floor).
+// path for every algorithm family and under every strategy (the
+// bit-identical-at-width-1 floor). A width-1 batch reports the strategy
+// the engine resolves, not the fused SPU shape: it is the single-lane run.
 func TestFusedWidthOne(t *testing.T) {
 	g, err := gen.Uniform(400, 3600, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, _ := buildEngine(t, g, 4, engine.Config{Threads: 2})
-	fused, err := algorithms.PersonalizedPageRankBatch(e, []uint32{17}, 0.9, 8)
+	const root = 17
+	queries := []struct {
+		name  string
+		fused func(e *engine.Engine) ([]*engine.Result, error)
+		seq   func(e *engine.Engine) (*engine.Result, error)
+	}{
+		{"ppr",
+			func(e *engine.Engine) ([]*engine.Result, error) {
+				return algorithms.PersonalizedPageRankBatch(e, []uint32{root}, 0.9, 8)
+			},
+			func(e *engine.Engine) (*engine.Result, error) {
+				return algorithms.PersonalizedPageRank(e, root, 0.9, 8)
+			}},
+		{"bfs",
+			func(e *engine.Engine) ([]*engine.Result, error) { return algorithms.BFSBatch(e, []uint32{root}) },
+			func(e *engine.Engine) (*engine.Result, error) { return algorithms.BFS(e, root) }},
+		{"sssp",
+			func(e *engine.Engine) ([]*engine.Result, error) { return algorithms.SSSPBatch(e, []uint32{root}) },
+			func(e *engine.Engine) (*engine.Result, error) { return algorithms.SSSP(e, root) }},
+	}
+	for name, cfg := range strategyConfigs(400) {
+		t.Run(name, func(t *testing.T) {
+			e, _ := buildEngine(t, g, 4, cfg)
+			for _, q := range queries {
+				fused, err := q.fused(e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				seq, err := q.seq(e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertBitIdentical(t, name+" width-1 "+q.name, fused[0].Attrs, seq.Attrs)
+				if fused[0].Iterations != seq.Iterations || fused[0].EdgesTraversed != seq.EdgesTraversed {
+					t.Fatalf("%s %s: fused %d iterations / %d edges, sequential %d / %d", name, q.name,
+						fused[0].Iterations, fused[0].EdgesTraversed, seq.Iterations, seq.EdgesTraversed)
+				}
+				if fused[0].Strategy != seq.Strategy || fused[0].ResidentIntervals != seq.ResidentIntervals {
+					t.Fatalf("%s %s: width-1 batch ran %v with Q=%d, the engine resolves %v with Q=%d", name, q.name,
+						fused[0].Strategy, fused[0].ResidentIntervals, seq.Strategy, seq.ResidentIntervals)
+				}
+			}
+		})
+	}
+}
+
+// danglingRankProg is a PageRank clone with a dangling-mass
+// GlobalAggregator but no LaneAggregator, so its aggregate folds in
+// fixed-size chunk partials rather than serially.
+type danglingRankProg struct{ n, damping, dangling float64 }
+
+func (p *danglingRankProg) Name() string                  { return "dangling-rank" }
+func (p *danglingRankProg) Zero() float64                 { return 0 }
+func (p *danglingRankProg) Init(v uint32) (float64, bool) { return 1 / p.n, true }
+func (p *danglingRankProg) Gather(a float64, deg uint32, _ float32) float64 {
+	return a / float64(deg)
+}
+func (p *danglingRankProg) Sum(a, b float64) float64 { return a + b }
+func (p *danglingRankProg) Apply(v uint32, old, acc float64) (float64, bool) {
+	return (1-p.damping)/p.n + p.damping*(acc+p.dangling/p.n), true
+}
+func (p *danglingRankProg) AggZero() float64 { return 0 }
+func (p *danglingRankProg) AggVertex(v uint32, attr float64, deg uint32) float64 {
+	if deg == 0 {
+		return attr
+	}
+	return 0
+}
+func (p *danglingRankProg) AggCombine(a, b float64) float64 { return a + b }
+func (p *danglingRankProg) SetGlobal(g float64)             { p.dangling = g }
+
+// TestFusedChunkedAggregateEquivalence: a lane whose aggregate has no
+// LaneAggregator must fold it exactly as the single-lane run does. The
+// graph has more vertices than one aggregate chunk (2^15), so a serial
+// fold and the chunked one disagree in the last bits.
+func TestFusedChunkedAggregateEquivalence(t *testing.T) {
+	const n = 70000
+	g, err := gen.Uniform(n, 4*n, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := algorithms.PersonalizedPageRank(e, 17, 0.9, 8)
+	e, _ := buildEngine(t, g, 4, engine.Config{Threads: 2, Strategy: engine.SPU, MaxIterations: 6})
+	dampings := []float64{0.85, 0.8}
+	ps := make([]engine.Program, len(dampings))
+	for l, d := range dampings {
+		ps[l] = &danglingRankProg{n: n, damping: d}
+	}
+	run, err := e.NewBatchRun(ps, engine.Forward)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertBitIdentical(t, "width-1 ppr", fused[0].Attrs, seq.Attrs)
-	fusedB, err := algorithms.BFSBatch(e, []uint32{17})
+	defer run.Close()
+	for {
+		more, err := run.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !more {
+			break
+		}
+	}
+	fused, err := run.FinishLanes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqB, err := algorithms.BFS(e, 17)
-	if err != nil {
-		t.Fatal(err)
+	for l, d := range dampings {
+		seq, err := e.Run(&danglingRankProg{n: n, damping: d}, engine.Forward)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, "chunked aggregate", fused[l].Attrs, seq.Attrs)
 	}
-	assertBitIdentical(t, "width-1 bfs", fusedB[0].Attrs, seqB.Attrs)
 }
 
 // TestFusedRejections: mismatched Zero values and the source-sorted

@@ -185,34 +185,42 @@ type Engine struct {
 	// snapshot (see SetOverlayProvider).
 	overlayProvider OverlayProvider
 
-	// batchMu guards batchBufs, a free list of SoA float64 arrays
-	// recycled across fused batch runs. The arrays are tens of megabytes
-	// (vertices × lanes); reusing them spares every fused job after the
-	// first the allocation and first-touch page faults.
+	// batchMu guards batchBufs, a free list of run state arrays recycled
+	// across runs. A fused run's arrays are tens of megabytes (vertices ×
+	// lanes); reusing them spares every run after the first the
+	// allocation and first-touch page faults.
 	batchMu   sync.Mutex
 	batchBufs [][]float64
 }
 
-// getBatchBuf returns a float64 buffer of length size, reusing a pooled
-// one when capacity allows. Contents are unspecified — callers must
-// initialize every slot they read.
+// getBatchBuf returns a float64 buffer of length size, reusing the
+// smallest pooled one whose capacity allows. Contents are unspecified —
+// callers must initialize every slot they read.
 func (e *Engine) getBatchBuf(size int) []float64 {
+	if size == 0 {
+		return nil
+	}
 	e.batchMu.Lock()
 	defer e.batchMu.Unlock()
+	best := -1
 	for i, b := range e.batchBufs {
-		if cap(b) >= size {
-			last := len(e.batchBufs) - 1
-			e.batchBufs[i] = e.batchBufs[last]
-			e.batchBufs = e.batchBufs[:last]
-			return b[:size]
+		if cap(b) >= size && (best < 0 || cap(b) < cap(e.batchBufs[best])) {
+			best = i
 		}
 	}
-	return make([]float64, size)
+	if best < 0 {
+		return make([]float64, size)
+	}
+	b := e.batchBufs[best]
+	last := len(e.batchBufs) - 1
+	e.batchBufs[best] = e.batchBufs[last]
+	e.batchBufs = e.batchBufs[:last]
+	return b[:size]
 }
 
-// putBatchBuf returns buffers to the fused-run free list. The list is
-// bounded only by the number of concurrent batch runs (each holds a
-// handful of arrays), so no explicit cap is needed.
+// putBatchBuf returns buffers to the free list. The list is bounded only
+// by the number of concurrent runs (each holds a handful of arrays), so
+// no explicit cap is needed.
 func (e *Engine) putBatchBuf(bufs ...[]float64) {
 	e.batchMu.Lock()
 	defer e.batchMu.Unlock()
@@ -373,10 +381,4 @@ func (e *Engine) validateDirection(dir Direction) error {
 		return fmt.Errorf("engine: direction %s requires a store preprocessed with Transpose", dir)
 	}
 	return nil
-}
-
-// degreesFor returns the source-degree array for gathering in the given
-// traversal direction.
-func (e *Engine) degreesFor(dir Direction) (fwd, rev []uint32) {
-	return e.outDeg, e.inDeg
 }

@@ -76,10 +76,10 @@ func (c cellID) name() string {
 
 // fetcher is the read-path state one executing run carries: the engine
 // whose cache and store blocks come from, the run's trace, and the
-// per-iteration counters the prefetch goroutines accumulate into. Both
-// the scalar Run and the fused BatchRun embed a fetcher, so the block
-// cache, the double-buffered pipeline, and the fetch tracing below are
-// written once and promoted into both.
+// per-iteration counters the prefetch goroutines accumulate into. Run
+// embeds it, so the block cache, the double-buffered pipeline, and the
+// fetch tracing below are promoted into every run whatever its lane
+// count.
 type fetcher struct {
 	e *Engine
 
@@ -612,15 +612,20 @@ func (p *pipeline) drain() {
 }
 
 // rowPlans lists, in execution order, the rows the row phase will
-// process and the base-store blocks each needs. Overlay cells are
-// in-memory and never planned.
-func (r *Run) rowPlans(dirs []int) []fetchPlan {
+// process — the union frontier of the participating lanes — and the
+// base-store blocks each needs. Overlay cells are in-memory and never
+// planned.
+func (r *Run) rowPlans(dirs, lanes []int) []fetchPlan {
 	m := r.e.store.Meta()
 	P, Q := m.P, r.q
 	flat := r.e.cfg.Order == SrcSortedCoarse
 	var plans []fetchPlan
 	for i := 0; i < P; i++ {
-		if !r.active[i] {
+		active := false
+		for _, l := range lanes {
+			active = active || r.active[l][i]
+		}
+		if !active {
 			continue
 		}
 		jmax := P
@@ -641,17 +646,17 @@ func (r *Run) rowPlans(dirs []int) []fetchPlan {
 	return plans
 }
 
-// colPlans lists the destination intervals the column phase will visit
-// and the resident-source blocks each folds. It must be computed after
-// the row phase (columnTouched consults hubRowValid, which the row phase
-// fills in).
+// colPlans lists the destination intervals the column phase of a
+// single-lane run will visit and the resident-source blocks each folds.
+// It must be computed after the row phase (columnTouched consults
+// hubRowValid, which the row phase fills in).
 func (r *Run) colPlans(dirs []int) []fetchPlan {
 	m := r.e.store.Meta()
 	P, Q := m.P, r.q
 	var plans []fetchPlan
 	for j := Q; j < P; j++ {
 		touched := r.columnTouched(j, dirs)
-		if !touched && !r.dense {
+		if !touched && !r.dense[0] {
 			continue
 		}
 		var cells []cellID
@@ -659,7 +664,7 @@ func (r *Run) colPlans(dirs []int) []fetchPlan {
 			for _, d := range dirs {
 				infos := r.subShardInfosFor(d)
 				for i := 0; i < Q; i++ {
-					if r.active[i] && infos[i*P+j].Edges > 0 {
+					if r.active[0][i] && infos[i*P+j].Edges > 0 {
 						cells = append(cells, cellID{d, i, j, false})
 					}
 				}

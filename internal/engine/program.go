@@ -25,7 +25,8 @@ type Program interface {
 	Name() string
 	// Zero is the identity of Sum.
 	Zero() float64
-	// Init supplies vertex v's initial attribute and activity.
+	// Init supplies vertex v's initial attribute and activity. It may be
+	// called concurrently for distinct vertices.
 	Init(v uint32) (attr float64, active bool)
 	// Gather computes the contribution of one edge. srcDeg is the
 	// source's degree in the traversal direction (out-degree for forward
@@ -62,9 +63,10 @@ type DenseApply interface {
 }
 
 // KernelHint names the functional form of a Program's Gather/Sum pair.
-// Both single-query runs (Run) and fused batch runs (BatchRun) use the
-// hint to select a specialized inner loop with no per-edge interface
-// dispatch (see scalar_kernels.go and batch_kernels.go). Each
+// Runs of every lane count use the hint to select a specialized inner
+// loop with no per-edge interface dispatch: single-lane runs the scalar
+// folds of scalar_kernels.go, fused runs the multi-lane kernels of
+// batch_kernels.go (which need every lane to declare the same hint). Each
 // specialized kernel performs exactly the floating-point operations the
 // declared Gather/Sum would, in the same order, so results stay
 // bit-identical to the generic interface path; a program must only
@@ -102,16 +104,16 @@ const (
 )
 
 // FusedKernel is an optional Program extension declaring the kernel
-// hint a run (single-query or fused batch) may specialize on.
+// hint a run (single-lane or fused) may specialize on.
 type FusedKernel interface {
 	FusedKernelHint() KernelHint
 }
 
 // LaneApplier is an optional Program extension that applies a whole
 // strided vertex range in one call instead of one Apply call per vertex.
-// Fused batch runs pass their SoA arrays with stride = lane count;
-// single-query runs pass their flat attribute arrays with stride 1 (off
-// may then be negative: a window with base b uses off = -b). curr/next
+// Runs pass their lane-minor arrays with stride = lane count and off =
+// the lane; a single-lane run's interval window with base b passes
+// stride 1 and off = -b (off may then be negative). curr/next
 // hold the program's state for vertex v at index int(v)*stride+off. The
 // implementation must perform, per vertex in ascending order, exactly
 // the floating-point operations Apply(v, curr[idx], next[idx]) would and
@@ -122,9 +124,10 @@ type LaneApplier interface {
 	ApplyLane(curr, next []float64, stride, off int, v0, v1 uint32) bool
 }
 
-// LaneAggregator is an optional GlobalAggregator extension for fused
-// batch runs: it computes the whole global reduction over one strided
-// attribute lane in a single call. deg has one entry per vertex; the
+// LaneAggregator is an optional GlobalAggregator extension: it computes
+// the whole global reduction over one strided attribute lane in a single
+// call (runs use it when every vertex is resident, and otherwise fold
+// serially in ascending vertex order). deg has one entry per vertex; the
 // result must be bit-identical to folding AggCombine over AggVertex in
 // ascending vertex order starting from AggZero. The engine still calls
 // SetGlobal with the returned value.

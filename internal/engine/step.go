@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -11,18 +12,20 @@ import (
 	"nxgraph/internal/trace"
 )
 
-// Step executes one iteration (Algorithm 1's repeat body). It returns
-// false when the computation has terminated: every interval inactive, or
-// the MaxIterations budget exhausted.
+// Step executes one iteration (Algorithm 1's repeat body) across every
+// unfinished lane. It returns false when the computation has terminated:
+// every lane converged (all its intervals inactive) or cancelled, or the
+// MaxIterations budget exhausted.
 func (r *Run) Step() (bool, error) {
 	return r.step()
 }
 
-// StepContext is Step with cancellation: ctx is consulted before the
-// iteration and between sub-shard batches (each row of the row phase, each
-// destination interval of the column phase). On cancellation it returns
-// ctx.Err() without corrupting run state; the run may not be stepped
-// further, but the engine and store remain reusable.
+// StepContext is Step with cancellation of the whole run: ctx is
+// consulted before the iteration and between sub-shard batches (each row
+// of the row phase, each destination interval of the column phase). On
+// cancellation it returns ctx.Err() without corrupting run state; the run
+// may not be stepped further, but the engine and store remain reusable.
+// Per-lane cancellation is CancelLane, observed at iteration boundaries.
 func (r *Run) StepContext(ctx context.Context) (bool, error) {
 	if ctx != nil && ctx != context.Background() {
 		r.ctx = ctx
@@ -41,18 +44,31 @@ func (r *Run) step() (bool, error) {
 	if err := r.checkCtx(); err != nil {
 		return false, err
 	}
-	if max := r.e.cfg.MaxIterations; max > 0 && r.iter >= max {
-		r.finished = true
-		return false, nil
-	}
-	anyActive := false
-	for _, a := range r.active {
-		if a {
-			anyActive = true
-			break
+	// Fold lane-cancellation requests, then retire converged lanes; the
+	// remaining lanes participate in this iteration.
+	for l := range r.ps {
+		if !r.done[l] && r.cancelReq[l].Load() {
+			r.done[l], r.cancelled[l] = true, true
+			r.endLaneSpan(l, "cancelled")
 		}
 	}
-	if !anyActive {
+	if max := r.e.cfg.MaxIterations; max > 0 && r.iter >= max {
+		r.finishAll()
+		return false, nil
+	}
+	var lanes []int
+	for l := range r.ps {
+		if r.done[l] {
+			continue
+		}
+		if !r.laneHasWork(l) {
+			r.done[l] = true
+			r.endLaneSpan(l, "")
+			continue
+		}
+		lanes = append(lanes, l)
+	}
+	if len(lanes) == 0 {
 		r.finished = true
 		return false, nil
 	}
@@ -82,72 +98,65 @@ func (r *Run) step() (bool, error) {
 	// hot (see applyResident) — so the sweep below only runs on the first
 	// step and after an aborted one.
 	if !r.nextZeroed {
-		zero := r.p.Zero()
-		bounds := chunkRanges(int(r.resEnd), 1<<16)
+		bounds := chunkRanges(len(r.next), 1<<16)
 		parallelFor(r.threads, len(bounds)-1, func(c int) {
-			fill(r.next[bounds[c]:bounds[c+1]], zero)
+			zeroSlab(r.next[bounds[c]:bounds[c+1]], r.zero)
 		})
 	}
 	r.nextZeroed = false
 
-	// RankSum division hoist: refresh the per-iteration scaled view of
-	// the resident attributes before any gathering reads it.
-	if r.useScaled {
-		r.refreshScaled(r.scaled, r.curr[:r.resEnd], 0, r.degOf(dirs[0]))
-	}
-
-	// Global aggregate over current attributes (resident part now,
-	// on-disk intervals as the row phase streams them through memory).
-	var aggVal float64
-	if r.agg != nil {
-		aggVal = r.agg.AggZero()
-		deg := r.primaryDeg()
-		switch {
-		case r.laggr != nil && r.resEnd == m.NumVertices:
-			// Every attribute is resident (SPU): one lane-aggregate call,
-			// bit-identical to the serial fold by LaneAggregator's
-			// contract and free to exploit program structure (PageRank's
-			// skips every non-dangling vertex).
-			aggVal = r.laggr.AggLane(r.curr, 1, 0, deg)
-		case r.laggr != nil:
-			// A LaneAggregator promises serial-fold bits and fused runs
-			// rely on them, so partial-array strategies keep the exact
-			// serial order: resident vertices now, streamed intervals as
-			// the row phase flows them through memory.
-			for v := uint32(0); v < r.resEnd; v++ {
-				aggVal = r.agg.AggCombine(aggVal, r.agg.AggVertex(v, r.curr[v], deg[v]))
-			}
-		default:
-			aggVal = r.aggRange(aggVal, r.curr[:r.resEnd], 0, deg)
+	// RankSum division hoist: the apply phase refreshes the scaled view
+	// of the resident attributes in place; the standalone sweep only runs
+	// when no apply has primed it.
+	if r.useScaled && !r.scaledReady {
+		for _, d := range dirs {
+			sc, deg := r.scaled[d], r.degOf(d)
+			bounds := chunkRanges(int(r.resEnd), 1<<13)
+			parallelFor(r.threads, len(bounds)-1, func(c int) {
+				v0, v1 := bounds[c]*r.L, bounds[c+1]*r.L
+				refreshScaled(sc[v0:v1], r.curr[v0:v1], uint32(bounds[c]), deg, r.L)
+			})
 		}
 	}
+	r.scaledReady = false
+
+	// Global aggregates over current attributes (resident part now,
+	// on-disk intervals as the row phase streams them through memory).
+	aggVals := r.residentAggregates(lanes)
 
 	// Row phase: SPU-like updates into resident accumulators, ToHub for
 	// on-disk destinations (Algorithm 7 lines 1-16). Each row's blocks
 	// are pinned by the prefetch pipeline one row ahead, so row i's
-	// gathering overlaps row i+1's reads.
-	rowPipe := r.newPipeline(r.rowPlans(dirs))
+	// gathering overlaps row i+1's reads; each decoded block is gathered
+	// into every participating lane before the next block.
+	rowPipe := r.newPipeline(r.rowPlans(dirs, lanes))
 	defer rowPipe.drain()
+	rowLanes := make([]int, 0, len(lanes))
 	for i := 0; i < P; i++ {
 		if err := r.checkCtx(); err != nil {
 			return false, err
 		}
-		srcActive := r.active[i]
+		rowLanes = rowLanes[:0]
+		for _, l := range lanes {
+			if r.active[l][i] {
+				rowLanes = append(rowLanes, l)
+			}
+		}
 		if i < Q {
-			if !srcActive {
+			if len(rowLanes) == 0 {
 				continue
 			}
-			if err := r.processRow(i, r.srcView(), dirs, rowPipe.take(i)); err != nil {
+			if err := r.processRow(i, r.srcViews(), dirs, rowLanes, rowPipe.take(i)); err != nil {
 				return false, err
 			}
 			continue
 		}
+		// An on-disk source interval: only single-lane runs have Q < P.
+		srcActive := len(rowLanes) > 0
 		for _, d := range dirs {
-			if r.hubRowValid[d] != nil {
-				r.hubRowValid[d][i] = srcActive
-			}
+			r.hubRowValid[d][i] = srcActive
 		}
-		if !srcActive && r.agg == nil {
+		if !srcActive && r.aggs[0] == nil {
 			continue
 		}
 		lo, hi := m.IntervalRange(i)
@@ -155,34 +164,35 @@ func (r *Run) step() (bool, error) {
 		if err := r.attrs.ReadInterval(i, buf); err != nil {
 			return false, err
 		}
-		if r.agg != nil {
-			deg := r.primaryDeg()
-			if r.laggr != nil { // serial-fold bits, see the resident case
-				for v := lo; v < hi; v++ {
-					aggVal = r.agg.AggCombine(aggVal, r.agg.AggVertex(v, buf[v-lo], deg[v]))
-				}
-			} else {
-				aggVal = r.aggRange(aggVal, buf, lo, deg)
-			}
+		if r.aggs[0] != nil {
+			aggVals[0] = r.aggFold(0, aggVals[0], buf, lo)
 		}
 		if !srcActive {
 			continue
 		}
-		srcV := view{buf, lo}
-		if r.useScaled {
-			sbuf := r.scaledBuf[:hi-lo]
-			r.refreshScaled(sbuf, buf, lo, r.degOf(dirs[0]))
-			srcV = view{sbuf, lo}
+		var src [2]view
+		for _, d := range dirs {
+			src[d] = view{buf, lo}
+			if r.useScaled {
+				sbuf := r.scaledBuf[d][:hi-lo]
+				refreshScaled(sbuf, buf, lo, r.degOf(d), 1)
+				src[d] = view{sbuf, lo}
+			}
 		}
-		if err := r.processRow(i, srcV, dirs, rowPipe.take(i)); err != nil {
+		if err := r.processRow(i, src, dirs, rowLanes, rowPipe.take(i)); err != nil {
 			return false, err
 		}
 	}
-	if r.agg != nil {
-		r.agg.SetGlobal(aggVal)
+	for _, l := range lanes {
+		if a := r.aggs[l]; a != nil {
+			a.SetGlobal(aggVals[l])
+		}
 	}
 
-	activeNext := make([]bool, P)
+	activeNext := make([][]bool, r.L)
+	for _, l := range lanes {
+		activeNext[l] = make([]bool, P)
+	}
 
 	// Column phase: FromHub plus resident-source gathering for on-disk
 	// destination intervals (Algorithm 7 lines 17-26), pipelined like the
@@ -200,20 +210,22 @@ func (r *Run) step() (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		activeNext[plan.id] = changed
+		activeNext[0][plan.id] = changed
 	}
 
 	// Apply phase for resident intervals, then ping-pong swap.
 	applySpan := r.tr.Start(trace.KindApply, "apply-resident", iterSpan.ID)
-	if err := r.applyResident(activeNext); err != nil {
-		return false, err
-	}
+	r.applyResident(lanes, activeNext)
 	r.tr.End(applySpan)
 	r.curr, r.next = r.next, r.curr
-	r.nextZeroed = true // apply tasks re-zeroed what is now r.next
-	copy(r.active, activeNext)
+	r.nextZeroed = true         // apply tasks re-zeroed what is now r.next
+	r.scaledReady = r.useScaled // and refreshed scaled from the new r.curr
+	for _, l := range lanes {
+		r.active[l] = activeNext[l]
+		r.laneIters[l]++
+	}
 	r.iter++
-	r.notifyProgress(activeNext)
+	r.notifyProgress()
 
 	if r.tr != nil {
 		dur := r.tr.End(iterSpan)
@@ -239,6 +251,37 @@ func (r *Run) step() (bool, error) {
 	return true, nil
 }
 
+// laneHasWork reports whether lane l has any active interval.
+func (r *Run) laneHasWork(l int) bool {
+	for _, a := range r.active[l] {
+		if a {
+			return true
+		}
+	}
+	return false
+}
+
+// finishAll retires every remaining lane (MaxIterations exhaustion).
+func (r *Run) finishAll() {
+	for l := range r.ps {
+		if !r.done[l] {
+			r.done[l] = true
+			r.endLaneSpan(l, "")
+		}
+	}
+	r.finished = true
+}
+
+// countEdges charges one visited cell's edge count to every
+// participating lane, so per-lane EdgesTraversed matches a single-lane
+// run of that lane.
+func (r *Run) countEdges(lanes []int, n int64) {
+	r.edges += n * int64(len(lanes))
+	for _, l := range lanes {
+		r.laneEdges[l] += n
+	}
+}
+
 // subShardInfosFor returns the sub-shard index for a traversal flag.
 func (r *Run) subShardInfosFor(d int) []storage.SubShardInfo {
 	m := r.e.store.Meta()
@@ -248,16 +291,18 @@ func (r *Run) subShardInfosFor(d int) []storage.SubShardInfo {
 	return m.SubShards
 }
 
-// processRow executes row i of the sub-shard matrix with source attributes
-// src: destinations in resident intervals accumulate into r.next;
-// destinations in on-disk intervals are gathered into hubs (ToHub).
-// blocks is the row's prefetched batch; processRow owns it — blocks stay
-// pinned until every gather task has run, then the whole batch releases.
-// Within one replica's row, distinct destination ranges never overlap, so
-// callback mode runs each group lock-free; groups that can collide on a
+// processRow executes row i of the sub-shard matrix for the given lanes,
+// with src[d] the source attributes of traversal flag d (read by the
+// single-lane kernels; fused kernels read the lane-minor arrays):
+// destinations in resident intervals accumulate into r.next; destinations
+// in on-disk intervals are gathered into hubs (ToHub). blocks is the
+// row's prefetched batch; processRow owns it — blocks stay pinned until
+// every gather task has run, then the whole batch releases. Within one
+// replica's row, distinct destination ranges never overlap, so callback
+// mode runs each group lock-free; groups that can collide on a
 // destination (forward vs transposed replica, base vs overlay) are
 // separated by barriers — see the scheduling comment below.
-func (r *Run) processRow(i int, src view, dirs []int, blocks *fetchBatch) error {
+func (r *Run) processRow(i int, src [2]view, dirs, lanes []int, blocks *fetchBatch) error {
 	defer blocks.release()
 	if err := r.waitBatch(blocks, "row-", i); err != nil {
 		return err
@@ -281,10 +326,10 @@ func (r *Run) processRow(i int, src view, dirs []int, blocks *fetchBatch) error 
 	// its overlay cell — can hit the same destination vertex, so each
 	// (replica, base|overlay) group gets its own barrier. Forward-only
 	// runs without deltas still execute exactly one parallelFor.
+	acc := view{r.next, 0}
 	var free []func()           // hub-side: no shared accumulator
 	var resident [2][2][]func() // [traversal flag][0 = base, 1 = overlay]
 	for _, d := range dirs {
-		deg := r.degOf(d)
 		infos := r.subShardInfosFor(d)
 		for j := 0; j < jmax; j++ {
 			base := infos[i*P+j].Edges > 0
@@ -292,20 +337,19 @@ func (r *Run) processRow(i int, src view, dirs []int, blocks *fetchBatch) error 
 			if !base && ovc == nil {
 				continue
 			}
-			if r.e.cfg.Order == SrcSortedCoarse { // overlay rejected at NewRun
+			if r.e.cfg.Order == SrcSortedCoarse { // single-lane, no overlay
 				flat, err := r.batchFlat(blocks, cellID{d, i, j, true})
 				if err != nil {
 					return err
 				}
-				r.edges += int64(len(flat.srcs))
+				r.countEdges(lanes, int64(len(flat.srcs)))
 				lock := &r.locks[j]
-				acc := view{r.next, 0}
-				p, dd := r.p, deg
+				p, dd, sv := r.ps[0], r.degOf(d), src[d]
 				f := scalarFoldFor(r.hint, false, flat.ws != nil)
 				free = append(free, func() { // interval lock serializes
 					lock.Lock()
-					if !gatherSrcSortedSpec(f, dd, r.mask, flat, src, acc) {
-						gatherSrcSorted(p, dd, r.mask, flat, src, acc)
+					if !gatherSrcSortedSpec(f, dd, r.mask, flat, sv, acc) {
+						gatherSrcSorted(p, dd, r.mask, flat, sv, acc)
 					}
 					lock.Unlock()
 				})
@@ -313,35 +357,46 @@ func (r *Run) processRow(i int, src view, dirs []int, blocks *fetchBatch) error 
 			}
 			del := r.cellDel(d, i, j)
 			if j < Q {
+				lock := &r.locks[j]
 				if base {
 					ss, err := r.batchSubShard(blocks, cellID{d, i, j, false})
 					if err != nil {
 						return err
 					}
-					r.edges += int64(ss.NumEdges())
-					resident[d][0] = append(resident[d][0], r.gatherTasks(ss, deg, del, src, view{r.next, 0}, j)...)
+					r.countEdges(lanes, int64(ss.NumEdges()))
+					resident[d][0] = append(resident[d][0], r.cellTasks(ss, d, del, src[d], acc, nil, lanes, lock, nil)...)
 				}
 				if ovc != nil {
-					r.edges += int64(ovc.NumEdges())
-					resident[d][1] = append(resident[d][1], r.gatherTasks(ovc, deg, nil, src, view{r.next, 0}, j)...)
+					r.countEdges(lanes, int64(ovc.NumEdges()))
+					resident[d][1] = append(resident[d][1], r.cellTasks(ovc, d, nil, src[d], acc, nil, lanes, lock, nil)...)
 				}
 				continue
 			}
 			if base {
+				// ToHub: gather partials into a value array and write hub
+				// H[i][j] once the last chunk completes (the callback
+				// mechanism).
 				ss, err := r.batchSubShard(blocks, cellID{d, i, j, false})
 				if err != nil {
 					return err
 				}
-				r.edges += int64(ss.NumEdges())
-				free = append(free, r.hubTasks(d, i, j, ss, deg, del, src)...)
+				r.countEdges(lanes, int64(ss.NumEdges()))
+				vals := make([]float64, ss.NumDsts())
+				hub := r.hubs[d]
+				write := func() {
+					if err := hub.Write(i, j, ss.Dsts, vals); err != nil {
+						r.setErr(err)
+					}
+				}
+				free = append(free, r.cellTasks(ss, d, del, src[d], view{}, vals, lanes, nil, write)...)
 			}
 			if ovc != nil {
 				// Overlay contributions to an on-disk destination
 				// interval accumulate in memory (the hub file's regions
 				// are sized from the base meta); the column phase folds
 				// them alongside the disk hub.
-				r.edges += int64(ovc.NumEdges())
-				free = append(free, r.ovHubTasks(d, i, j, ovc, deg, src)...)
+				r.countEdges(lanes, int64(ovc.NumEdges()))
+				free = append(free, r.cellTasks(ovc, d, nil, src[d], view{}, r.ovHubVals(d, i, j, ovc), lanes, nil, nil)...)
 			}
 		}
 	}
@@ -363,68 +418,28 @@ func (r *Run) processRow(i int, src view, dirs []int, blocks *fetchBatch) error 
 	return r.takeErr()
 }
 
-// gatherTasks builds the fine-grained (callback) or interval-locked (lock)
-// tasks that fold sub-shard ss into a dense accumulator. del is the
-// overlay tombstone predicate for base sub-shards (nil for overlay cells
-// and cells without pending removals). Cells whose Gather/Sum match the
-// run's kernel hint go through the devirtualized fold loops; chunk
-// boundaries balance edges, not destinations, so a hub destination does
-// not serialize its whole chunk's worth of sparse neighbours behind it.
-func (r *Run) gatherTasks(ss *storage.SubShard, deg []uint32, del func(src, dst uint32) bool, src, acc view, j int) []func() {
-	p := r.p
-	f := scalarFoldFor(r.hint, r.useScaled, ss.Weights != nil)
+// cellTasks builds the fine-grained (callback) or interval-locked (lock)
+// tasks that fold sub-shard ss of traversal flag d for the given lanes:
+// into the dense accumulator acc, or — when hub is non-nil — into hub's
+// per-destination partials (ToHub). del is the overlay tombstone
+// predicate for base sub-shards (nil for overlay cells and cells without
+// pending removals). lock, when non-nil, serializes the cell's
+// destination interval in lock mode; done, when non-nil, runs once after
+// the cell's last task. Chunk boundaries balance edges, not
+// destinations, so a hub destination does not serialize its whole
+// chunk's worth of sparse neighbours behind it.
+func (r *Run) cellTasks(ss *storage.SubShard, d int, del delPred, src, acc view, hub []float64, lanes []int, lock *sync.Mutex, done func()) []func() {
+	gather := r.cellKernel(ss, d, del, src, acc, hub, lanes)
 	if r.e.cfg.Sync == Lock {
-		lock := &r.locks[j]
 		return []func(){func() {
-			lock.Lock()
-			if f != foldNone {
-				gatherSpec(f, deg, r.mask, del, ss, src, acc, nil, 0, ss.NumDsts())
-			} else {
-				gatherCSR(p, deg, r.mask, del, ss, src, acc, 0, ss.NumDsts())
+			if lock != nil {
+				lock.Lock()
+				defer lock.Unlock()
 			}
-			lock.Unlock()
-		}}
-	}
-	bounds := edgeChunkRanges(ss.Offsets, r.chunkCost)
-	tasks := make([]func(), 0, len(bounds)-1)
-	for c := 0; c < len(bounds)-1; c++ {
-		k0, k1 := bounds[c], bounds[c+1]
-		if f != foldNone {
-			tasks = append(tasks, func() {
-				gatherSpec(f, deg, r.mask, del, ss, src, acc, nil, k0, k1)
-			})
-		} else {
-			tasks = append(tasks, func() {
-				gatherCSR(p, deg, r.mask, del, ss, src, acc, k0, k1)
-			})
-		}
-	}
-	return tasks
-}
-
-// hubTasks builds the ToHub tasks for sub-shard SS[i][j]: gather partials
-// into a value array and write hub H[i][j] once the last chunk completes
-// (the callback mechanism).
-func (r *Run) hubTasks(d, i, j int, ss *storage.SubShard, deg []uint32, del func(src, dst uint32) bool, src view) []func() {
-	p := r.p
-	vals := make([]float64, ss.NumDsts())
-	write := func() {
-		if err := r.hubs[d].Write(i, j, ss.Dsts, vals); err != nil {
-			r.setErr(err)
-		}
-	}
-	f := scalarFoldFor(r.hint, r.useScaled, ss.Weights != nil)
-	gather := func(k0, k1 int) {
-		if f != foldNone {
-			gatherSpec(f, deg, r.mask, del, ss, src, view{}, vals, k0, k1)
-		} else {
-			gatherToHub(p, deg, r.mask, del, ss, src, vals, k0, k1)
-		}
-	}
-	if r.e.cfg.Sync == Lock {
-		return []func(){func() {
 			gather(0, ss.NumDsts())
-			write()
+			if done != nil {
+				done()
+			}
 		}}
 	}
 	bounds := edgeChunkRanges(ss.Offsets, r.chunkCost)
@@ -435,41 +450,33 @@ func (r *Run) hubTasks(d, i, j int, ss *storage.SubShard, deg []uint32, del func
 		k0, k1 := bounds[c], bounds[c+1]
 		tasks = append(tasks, func() {
 			gather(k0, k1)
-			if pending.Add(-1) == 0 {
-				write()
+			if done != nil && pending.Add(-1) == 0 {
+				done()
 			}
 		})
 	}
 	return tasks
 }
 
-// ovHubTasks gathers overlay cell (i,j) into its in-memory partials
-// array — the overlay counterpart of hubTasks, with no disk write.
-func (r *Run) ovHubTasks(d, i, j int, cell *storage.SubShard, deg []uint32, src view) []func() {
-	p := r.p
-	vals := r.ovHubVals(d, i, j, cell)
-	f := scalarFoldFor(r.hint, r.useScaled, cell.Weights != nil)
-	gather := func(k0, k1 int) {
-		if f != foldNone {
-			gatherSpec(f, deg, r.mask, nil, cell, src, view{}, vals, k0, k1)
-		} else {
-			gatherToHub(p, deg, r.mask, nil, cell, src, vals, k0, k1)
-		}
+// cellKernel picks the gather loop for one cell, by lane count first: a
+// fused run takes the multi-lane kernels of batch_kernels.go; a
+// single-lane run takes the devirtualized fold its kernel hint pins (see
+// scalar_kernels.go), or the generic per-edge Program dispatch.
+func (r *Run) cellKernel(ss *storage.SubShard, d int, del delPred, src, acc view, hub []float64, lanes []int) func(k0, k1 int) {
+	deg := r.degOf(d)
+	if r.L > 1 {
+		lanes = append([]int(nil), lanes...) // the caller reuses its slice per row
+		sc := r.scaled[d]
+		return func(k0, k1 int) { r.gatherCell(ss, deg, sc, del, lanes, k0, k1) }
 	}
-	if r.e.cfg.Sync == Lock {
-		return []func(){func() {
-			gather(0, cell.NumDsts())
-		}}
+	if f := scalarFoldFor(r.hint, r.useScaled, ss.Weights != nil); f != foldNone {
+		return func(k0, k1 int) { gatherSpec(f, deg, r.mask, del, ss, src, acc, hub, k0, k1) }
 	}
-	bounds := edgeChunkRanges(cell.Offsets, r.chunkCost)
-	tasks := make([]func(), 0, len(bounds)-1)
-	for c := 0; c < len(bounds)-1; c++ {
-		k0, k1 := bounds[c], bounds[c+1]
-		tasks = append(tasks, func() {
-			gather(k0, k1)
-		})
+	p := r.ps[0]
+	if hub != nil {
+		return func(k0, k1 int) { gatherToHub(p, deg, r.mask, del, ss, src, hub, k0, k1) }
 	}
-	return tasks
+	return func(k0, k1 int) { gatherCSR(p, deg, r.mask, del, ss, src, acc, k0, k1) }
 }
 
 // columnTouched reports whether any contribution can reach on-disk
@@ -479,7 +486,7 @@ func (r *Run) columnTouched(j int, dirs []int) bool {
 	for _, d := range dirs {
 		infos := r.subShardInfosFor(d)
 		for i := 0; i < Q; i++ {
-			if r.active[i] && r.cellHasEdges(d, i, j) {
+			if r.active[0][i] && r.cellHasEdges(d, i, j) {
 				return true
 			}
 		}
@@ -492,9 +499,10 @@ func (r *Run) columnTouched(j int, dirs []int) bool {
 	return false
 }
 
-// processColumn runs the FromHub side for on-disk destination interval j:
-// gather resident-source sub-shards, fold hubs, apply, and persist.
-// blocks is the column's prefetched batch; processColumn owns it.
+// processColumn runs the FromHub side for on-disk destination interval j
+// of a single-lane run: gather resident-source sub-shards, fold hubs,
+// apply, and persist. blocks is the column's prefetched batch;
+// processColumn owns it.
 func (r *Run) processColumn(j int, dirs []int, touched bool, blocks *fetchBatch) (bool, error) {
 	defer blocks.release()
 	if err := r.waitBatch(blocks, "col-", j); err != nil {
@@ -511,14 +519,18 @@ func (r *Run) processColumn(j int, dirs []int, touched bool, blocks *fetchBatch)
 		return false, nil
 	}
 	acc := r.accBuf[:hi-lo]
-	fill(acc, r.p.Zero())
+	fill(acc, r.zero)
 	accV := view{acc, lo}
 	if touched {
 		for _, d := range dirs {
-			deg := r.degOf(d)
 			infos := r.subShardInfosFor(d)
+			gather := func(ss *storage.SubShard, del delPred) {
+				r.countEdges(lane0, int64(ss.NumEdges()))
+				tasks := r.cellTasks(ss, d, del, r.srcViews()[d], accV, nil, lane0, &r.locks[j], nil)
+				parallelFor(r.threads, len(tasks), func(t int) { tasks[t]() })
+			}
 			for i := 0; i < Q; i++ {
-				if !r.active[i] {
+				if !r.active[0][i] {
 					continue
 				}
 				if infos[i*P+j].Edges > 0 {
@@ -526,14 +538,10 @@ func (r *Run) processColumn(j int, dirs []int, touched bool, blocks *fetchBatch)
 					if err != nil {
 						return false, err
 					}
-					r.edges += int64(ss.NumEdges())
-					tasks := r.gatherTasks(ss, deg, r.cellDel(d, i, j), r.srcView(), accV, j)
-					parallelFor(r.threads, len(tasks), func(t int) { tasks[t]() })
+					gather(ss, r.cellDel(d, i, j))
 				}
 				if ovc := r.ovCell(d, i, j); ovc != nil {
-					r.edges += int64(ovc.NumEdges())
-					tasks := r.gatherTasks(ovc, deg, nil, r.srcView(), accV, j)
-					parallelFor(r.threads, len(tasks), func(t int) { tasks[t]() })
+					gather(ovc, nil)
 				}
 			}
 			for i := Q; i < P; i++ {
@@ -566,12 +574,11 @@ func (r *Run) processColumn(j int, dirs []int, touched bool, blocks *fetchBatch)
 	if err := r.attrs.ReadInterval(j, old); err != nil {
 		return false, err
 	}
-	oldV := view{old, lo}
 	bounds := chunkRanges(int(hi-lo), r.chunk)
 	changed := make([]bool, len(bounds)-1)
 	parallelFor(r.threads, len(bounds)-1, func(c int) {
 		v0, v1 := lo+uint32(bounds[c]), lo+uint32(bounds[c+1])
-		changed[c] = r.applyChunk(oldV, accV, v0, v1)
+		changed[c] = r.applyChunk(0, old, acc, -int(lo), v0, v1)
 	})
 	anyChanged := false
 	for _, c := range changed {
@@ -586,111 +593,174 @@ func (r *Run) processColumn(j int, dirs []int, touched bool, blocks *fetchBatch)
 	return anyChanged, nil
 }
 
-// applyResident finalizes resident intervals: Apply where contributions
-// (or a global aggregate) demand it, plain copy elsewhere. Every task —
-// apply or copy — re-zeroes its slice of what is about to become the
-// next iteration's accumulator (r.curr, pre-swap) while the cache lines
-// are still hot, so step() never needs a separate zeroing sweep.
-func (r *Run) applyResident(activeNext []bool) error {
+// applyResident runs the apply phase over the resident intervals and
+// records each participating lane's next-iteration activity in
+// activeNext. A lane applies over interval j when it is dense or any of
+// its active source intervals has edges into j; it carries its values
+// forward elsewhere, as do lanes sitting this iteration out. Every task
+// re-zeroes its slice of what is about to become the next iteration's
+// accumulator (r.curr, pre-swap) and refreshes the RankSum scaled view
+// from the values it just wrote, while the cache lines are still hot, so
+// step() needs no separate sweep for either.
+func (r *Run) applyResident(lanes []int, activeNext [][]bool) {
 	m := r.e.store.Meta()
-	P, Q := m.P, r.q
+	P, Q, L := m.P, r.q, r.L
 	dirs := r.dirsUsed()
+	// applies[j*L+l]: does lane l Apply over interval j?
+	applies := make([]bool, Q*L)
+	for _, l := range lanes {
+		for j := 0; j < Q; j++ {
+			apply := r.dense[l]
+			for _, d := range dirs {
+				for i := 0; i < P && !apply; i++ {
+					apply = r.active[l][i] && r.cellHasEdges(d, i, j)
+				}
+			}
+			applies[j*L+l] = apply
+		}
+	}
+	// A fused task is a vertex chunk every lane sweeps in turn, sized so
+	// the chunk's whole lane-minor block (all L lanes of curr and next)
+	// stays cache-resident across the per-lane passes — one lane's walk is
+	// L-strided, which over an unbounded range would miss on every vertex.
+	chunkV := r.chunk
+	if L > 1 {
+		chunkV = max(64, (1<<15)/L) // ≈256KiB of curr+next per chunk
+	}
 	type task struct {
 		j      int
 		v0, v1 uint32
-		copy   bool
 	}
 	var tasks []task
 	for j := 0; j < Q; j++ {
 		lo, hi := m.IntervalRange(j)
-		if lo == hi {
-			continue
-		}
-		touched := r.dense
-		if !touched {
-			for _, d := range dirs {
-				for i := 0; i < P; i++ {
-					if r.active[i] && r.cellHasEdges(d, i, j) {
-						touched = true
-						break
-					}
-				}
-				if touched {
-					break
-				}
-			}
-		}
-		bounds := chunkRanges(int(hi-lo), r.chunk)
+		bounds := chunkRanges(int(hi-lo), chunkV)
 		for c := 0; c < len(bounds)-1; c++ {
-			tasks = append(tasks, task{j, lo + uint32(bounds[c]), lo + uint32(bounds[c+1]), !touched})
+			tasks = append(tasks, task{j, lo + uint32(bounds[c]), lo + uint32(bounds[c+1])})
 		}
 	}
-	changed := make([]bool, len(tasks))
-	zero := r.p.Zero()
-	currV, nextV := view{r.curr, 0}, view{r.next, 0}
+	changed := make([]bool, len(tasks)*L)
 	parallelFor(r.threads, len(tasks), func(t int) {
 		tk := tasks[t]
-		if tk.copy {
-			copy(r.next[tk.v0:tk.v1], r.curr[tk.v0:tk.v1])
-		} else {
-			changed[t] = r.applyChunk(currV, nextV, tk.v0, tk.v1)
+		s0, s1 := int(tk.v0)*L, int(tk.v1)*L
+		for l := 0; l < L; l++ {
+			if applies[tk.j*L+l] {
+				changed[t*L+l] = r.applyChunk(l, r.curr, r.next, l, tk.v0, tk.v1)
+			} else {
+				copyLane(r.curr, r.next, L, l, tk.v0, tk.v1)
+			}
 		}
-		fill(r.curr[tk.v0:tk.v1], zero)
+		if r.useScaled {
+			for _, d := range dirs {
+				refreshScaled(r.scaled[d][s0:s1], r.next[s0:s1], tk.v0, r.degOf(d), L)
+			}
+		}
+		zeroSlab(r.curr[s0:s1], r.zero)
 	})
-	for t, ch := range changed {
-		if ch {
-			activeNext[tasks[t].j] = true
+	for t := range tasks {
+		for l := 0; l < L; l++ {
+			if changed[t*L+l] && activeNext[l] != nil {
+				activeNext[l][tasks[t].j] = true
+			}
 		}
 	}
-	return nil
 }
 
-// srcView is the resident source-attribute window the gather kernels
-// read: the per-iteration scaled array under the RankSum division hoist,
-// the raw attributes otherwise.
-func (r *Run) srcView() view {
+// srcViews is the resident source-attribute window the single-lane
+// gather kernels read per traversal flag: the per-iteration scaled array
+// under the RankSum division hoist, the raw attributes otherwise.
+func (r *Run) srcViews() [2]view {
+	v := [2]view{{r.curr, 0}, {r.curr, 0}}
 	if r.useScaled {
-		return view{r.scaled, 0}
+		v[0], v[1] = view{r.scaled[0], 0}, view{r.scaled[1], 0}
 	}
-	return view{r.curr, 0}
+	return v
 }
 
-// refreshScaled recomputes dst[i] = vals[i] / float64(deg[lo+i]) in
-// parallel chunks — the RankSum division hoist, performed with exactly
-// the operands Gather(vals[i], deg[lo+i], w) would use so the hoisted
-// fold stays bit-identical. Zero-degree vertices yield Inf entries that
-// are never read: a gathered edge from source s implies s's
-// overlay-adjusted degree is at least 1 (tombstoned edges are filtered
-// before the attribute read).
-func (r *Run) refreshScaled(dst, vals []float64, lo uint32, deg []uint32) {
-	bounds := chunkRanges(len(vals), 1<<15)
-	parallelFor(r.threads, len(bounds)-1, func(c int) {
-		for i := bounds[c]; i < bounds[c+1]; i++ {
-			dst[i] = vals[i] / float64(deg[lo+uint32(i)])
+// refreshScaled sets dst = vals / deg per vertex — the RankSum Gather
+// value curr/deg of every (vertex, lane) pair, computed once per
+// iteration instead of once per edge. vals and dst hold vertices
+// [lo, lo+len(vals)/L) lane-minor. Each division uses exactly the
+// operands a scalar Gather would, so the hoisted fold stays
+// bit-identical. Zero-degree vertices are skipped: a gathered edge from
+// source s implies s's overlay-adjusted degree is at least 1 (tombstoned
+// edges are filtered before the attribute read), so their slots are never
+// read.
+func refreshScaled(dst, vals []float64, lo uint32, deg []uint32, L int) {
+	if L == 1 {
+		for i, a := range vals {
+			dst[i] = a / float64(deg[lo+uint32(i)])
+		}
+		return
+	}
+	for i := 0; i < len(vals)/L; i++ {
+		dg := deg[lo+uint32(i)]
+		if dg == 0 {
+			continue
+		}
+		dd := float64(dg)
+		as, sc := vals[i*L:i*L+L], dst[i*L:i*L+L]
+		for x := range as {
+			sc[x] = as[x] / dd
+		}
+	}
+}
+
+// residentAggregates starts each participating lane's global aggregate
+// over the resident attributes. A LaneAggregator lane with every vertex
+// resident takes one AggLane call, bit-identical to the serial fold by
+// that interface's contract and free to exploit program structure
+// (PageRank's skips every non-dangling vertex); such lanes reduce in
+// parallel. Every other lane folds through aggFold, so one rule decides
+// an aggregate's float association whatever the lane count.
+func (r *Run) residentAggregates(lanes []int) []float64 {
+	vals := make([]float64, r.L)
+	deg := r.primaryDeg()
+	all := r.resEnd == r.e.store.Meta().NumVertices
+	parallelFor(r.threads, len(lanes), func(t int) {
+		if l := lanes[t]; all && r.laggr[l] != nil {
+			vals[l] = r.laggr[l].AggLane(r.curr, r.L, l, deg[:r.resEnd])
 		}
 	})
+	for _, l := range lanes {
+		if r.aggs[l] != nil && !(all && r.laggr[l] != nil) {
+			vals[l] = r.aggFold(l, r.aggs[l].AggZero(), r.curr[:int(r.resEnd)*r.L], 0)
+		}
+	}
+	return vals
 }
 
-// aggRange folds the global aggregate over the vertex range
-// [lo, lo+len(vals)) whose attributes sit in vals, computing per-chunk
-// partials in parallel and combining them with AggCombine in ascending
-// chunk order. The fixed chunk size makes the result deterministic for
-// any thread count, though the chunked combine is not the serial fold's
-// float association — programs that need serial bits declare a
-// LaneAggregator and never reach this path.
-func (r *Run) aggRange(val float64, vals []float64, lo uint32, deg []uint32) float64 {
-	bounds := chunkRanges(len(vals), 1<<15)
+// aggFold folds lane l's global aggregate over the vertex range
+// [lo, lo+len(vals)/L) whose lane-minor attributes sit in vals. A
+// LaneAggregator promises serial-fold bits, so its lane folds serially in
+// ascending vertex order (partial-residency runs stream the on-disk
+// intervals through here in that order). Other lanes compute per-chunk
+// partials in parallel and combine them with AggCombine in ascending
+// chunk order: the fixed chunk size makes the result deterministic for
+// any thread count and lane count, though the chunked combine is not the
+// serial fold's float association.
+func (r *Run) aggFold(l int, val float64, vals []float64, lo uint32) float64 {
+	a, L, deg := r.aggs[l], r.L, r.primaryDeg()
+	n := len(vals) / L
+	if r.laggr[l] != nil {
+		for i := 0; i < n; i++ {
+			v := lo + uint32(i)
+			val = a.AggCombine(val, a.AggVertex(v, vals[i*L+l], deg[v]))
+		}
+		return val
+	}
+	bounds := chunkRanges(n, 1<<15)
 	parts := make([]float64, len(bounds)-1)
 	parallelFor(r.threads, len(parts), func(c int) {
-		pv := r.agg.AggZero()
+		pv := a.AggZero()
 		for i := bounds[c]; i < bounds[c+1]; i++ {
 			v := lo + uint32(i)
-			pv = r.agg.AggCombine(pv, r.agg.AggVertex(v, vals[i], deg[v]))
+			pv = a.AggCombine(pv, a.AggVertex(v, vals[i*L+l], deg[v]))
 		}
 		parts[c] = pv
 	})
 	for _, pv := range parts {
-		val = r.agg.AggCombine(val, pv)
+		val = a.AggCombine(val, pv)
 	}
 	return val
 }
@@ -700,17 +770,23 @@ func (r *Run) aggRange(val float64, vals []float64, lo uint32, deg []uint32) flo
 // generic per-entry path otherwise.
 func (r *Run) foldHubRange(dsts []uint32, vals []float64, acc view, k0, k1 int) {
 	if !foldHubSpec(sumFoldFor(r.hint), dsts, vals, acc, k0, k1) {
-		foldHub(r.p, dsts, vals, acc, k0, k1)
+		foldHub(r.ps[0], dsts, vals, acc, k0, k1)
 	}
 }
 
-// applyChunk applies vertices [v0, v1), reading old attributes from old
-// and folding into acc in place. With no mask installed it uses the
-// program's LaneApplier (stride 1; both views share a base, so one
-// offset indexes both arrays) to skip per-vertex interface dispatch.
-func (r *Run) applyChunk(old, acc view, v0, v1 uint32) bool {
-	if r.la != nil && r.mask == nil {
-		return r.la.ApplyLane(old.vals, acc.vals, 1, -int(old.base), v0, v1)
+// applyChunk applies lane l over vertices [v0, v1), reading old
+// attributes from old and folding into acc in place; vertex v's state
+// sits at index int(v)*L+off of both arrays (off = l for the resident
+// arrays, -lo for a single-lane interval window based at lo). It uses
+// the lane's LaneApplier when it has one to skip per-vertex interface
+// dispatch; a mask (single-lane runs only) takes the generic path.
+func (r *Run) applyChunk(l int, old, acc []float64, off int, v0, v1 uint32) bool {
+	switch {
+	case r.mask != nil:
+		base := uint32(-off)
+		return applyRange(r.ps[0], r.mask, view{old, base}, view{acc, base}, view{acc, base}, v0, v1)
+	case r.la[l] != nil:
+		return r.la[l].ApplyLane(old, acc, r.L, off, v0, v1)
 	}
-	return applyRange(r.p, r.mask, old, acc, acc, v0, v1)
+	return applyLane(r.ps[l], old, acc, r.L, off, v0, v1)
 }
